@@ -381,6 +381,37 @@ let perf_gfib_probe ?(name = "gfib-probe") () =
        workload);
   ignore !sink
 
+(* gfib-full-sync-{unchanged,changed}: a member applying a peer's full
+   L-FIB advert (Gfib.set_peer) for a 30-key peer, once with a list equal
+   to the one the filter was built from — the periodic sync of an idle
+   peer, which must neither rebuild nor allocate — and once with a list
+   that differs each time, which rebuilds the filter in place.  The equal
+   list is a separate copy, as a decoded advert would be. *)
+let perf_gfib_full_sync () =
+  let module Gfib = Lazyctrl_switch.Gfib in
+  let keys base =
+    List.init 30 (fun i ->
+        let hid = base + i in
+        {
+          Lazyctrl_switch.Proto.mac = Lazyctrl_net.Mac.of_host_id hid;
+          ip = Lazyctrl_net.Ipv4.of_host_id hid;
+          tenant = Lazyctrl_net.Ids.Tenant_id.of_int 0;
+        })
+  in
+  let peer = Lazyctrl_net.Ids.Switch_id.of_int 1 in
+  let measure name n lists =
+    let gfib = Gfib.create ~bits_per_entry:128 ~expected_hosts_per_switch:64 () in
+    let workload () =
+      for i = 0 to n - 1 do
+        Gfib.set_peer gfib peer (if i land 1 = 0 then fst lists else snd lists)
+      done
+    in
+    perf_record
+      (Perf.Measure.run ~name ~reps:(perf_reps ()) ~ops_per_rep:n workload)
+  in
+  measure "gfib-full-sync-unchanged" (perf_scale 400_000) (keys 1000, keys 1000);
+  measure "gfib-full-sync-changed" (perf_scale 40_000) (keys 1000, keys 2000)
+
 (* packet-replay: end-to-end — a small lazy-mode network, per-tenant
    traffic, everything from ARP resolution through G-FIB encap to
    delivery.  Ops are delivered packets; events are engine firings. *)
@@ -928,6 +959,7 @@ let t_perf () =
   perf_bloom_query ();
   perf_lfib_lookup ();
   perf_gfib_probe ();
+  perf_gfib_full_sync ();
   perf_wire_encode ();
   perf_wire_decode ();
   perf_buffered_punt ();

@@ -228,8 +228,8 @@ let default =
         {
           b_id = "Lazyctrl_switch.Gfib.rebuild_peer_cache";
           b_why =
-            "peer-cache rebuild after a membership change \
-             (set_peer/drop_peer): amortized over every packet probed \
+            "peer-cache rebuild after a membership change (a new \
+             peer, drop_peer, clear): amortized over every packet probed \
              between group reconfigurations";
         };
         {

@@ -282,6 +282,7 @@ module Counting = struct
       probe_mem t.counters t.k t.n (reduce h1 t.n mask) (reduce h2 t.n mask) 0
 
   let clear t = Bytes.fill t.counters 0 t.n '\000'
+  let counters t = t.n
 
   let to_plain t =
     let plain = plain_create ~hashes:t.k ~bits:t.n () in

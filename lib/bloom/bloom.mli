@@ -82,6 +82,10 @@ module Counting : sig
   val mem : t -> int -> bool
   val clear : t -> unit
 
+  val counters : t -> int
+  (** Number of counters, after rounding up to a multiple of 64; equal to
+      the {!bits} of {!to_plain}'s result, without building it. *)
+
   val to_plain : t -> plain
   (** Project to a plain filter of the same geometry (counter > 0 ⇒ bit
       set); this is what gets shipped to peers. *)

@@ -1,16 +1,27 @@
 open Lazyctrl_net
 module Bloom = Lazyctrl_bloom.Bloom
 
+(* A peer's filter, created once and rebuilt in place. [built_from] is
+   the key list the filter was last built from by [set_peer], or [None]
+   once an incremental advert has touched it: a full sync whose list
+   equals [built_from] finds the filter already in the state a rebuild
+   would produce, since a filter built from zero is a pure function of
+   its key list (saturating counters included). *)
+type peer = { filter : Bloom.Counting.t; mutable built_from : Proto.host_key list option }
+
 type t = {
   bits_per_entry : int;
   expected : int;
-  filters : Bloom.Counting.t Ids.Switch_id.Tbl.t;
+  filters : peer Ids.Switch_id.Tbl.t;
   (* Peers sorted ascending by id, rebuilt lazily after membership
      changes. Per-packet probes walk this array instead of folding and
      sorting the hashtable, which kept the old implementation both slow
-     and allocating. Counter mutations ([apply_advert] on a known peer)
-     leave the cache valid because entries alias the live filters. *)
+     and allocating. Filters are never replaced under a known peer, so
+     counter mutations ([set_peer]/[apply_advert] on a known peer) leave
+     the cache valid because entries alias the live filters. *)
   mutable peer_cache : (Ids.Switch_id.t * Bloom.Counting.t) array option;
+  (* Filters of dropped peers, recycled before a new one is allocated. *)
+  mutable spares : Bloom.Counting.t list;
 }
 
 let create ?(bits_per_entry = 128) ?(expected_hosts_per_switch = 64) () =
@@ -20,16 +31,17 @@ let create ?(bits_per_entry = 128) ?(expected_hosts_per_switch = 64) () =
     expected = max 1 expected_hosts_per_switch;
     filters = Ids.Switch_id.Tbl.create 64;
     peer_cache = None;
+    spares = [];
   }
 
 let invalidate t = t.peer_cache <- None
 
 (* The rebuild allocates freely; it runs only after a membership change
-   (set_peer/drop_peer/adopt), never per packet — a declared cold
+   (a new peer, drop_peer, clear), never per packet — a declared cold
    boundary in the H00x hot-path spec. *)
 let rebuild_peer_cache t =
   let a =
-    Ids.Switch_id.Tbl.fold (fun p f acc -> (p, f) :: acc) t.filters []
+    Ids.Switch_id.Tbl.fold (fun p e acc -> (p, e.filter) :: acc) t.filters []
     |> List.sort (fun (a, _) (b, _) -> Ids.Switch_id.compare a b)
     |> Array.of_list
   in
@@ -40,8 +52,14 @@ let peer_array t =
   match t.peer_cache with Some a -> a | None -> rebuild_peer_cache t
 
 let fresh_filter t =
-  (* Two keys (MAC + IP) per host. *)
-  Bloom.Counting.create ~counters:(t.bits_per_entry * 2 * t.expected) ()
+  match t.spares with
+  | f :: rest ->
+      t.spares <- rest;
+      Bloom.Counting.clear f;
+      f
+  | [] ->
+      (* Two keys (MAC + IP) per host. *)
+      Bloom.Counting.create ~counters:(t.bits_per_entry * 2 * t.expected) ()
 
 let add_keys filter (keys : Proto.host_key list) =
   List.iter
@@ -50,32 +68,45 @@ let add_keys filter (keys : Proto.host_key list) =
       Bloom.Counting.add filter (Proto.ip_key k.ip))
     keys
 
+let add_peer t peer built_from =
+  let e = { filter = fresh_filter t; built_from } in
+  Ids.Switch_id.Tbl.replace t.filters peer e;
+  invalidate t;
+  e
+
+(* [find] rather than [find_opt]: the unchanged re-sync, the common
+   case, then allocates nothing. *)
 let set_peer t peer keys =
-  let filter = fresh_filter t in
-  add_keys filter keys;
-  Ids.Switch_id.Tbl.replace t.filters peer filter;
-  invalidate t
+  match Ids.Switch_id.Tbl.find t.filters peer with
+  | { built_from = Some prev; _ } when List.equal Proto.host_key_equal prev keys -> ()
+  | e ->
+      Bloom.Counting.clear e.filter;
+      add_keys e.filter keys;
+      e.built_from <- Some keys
+  | exception Not_found -> add_keys (add_peer t peer (Some keys)).filter keys
 
 let apply_advert t peer ~added ~removed =
-  let filter =
+  let e =
     match Ids.Switch_id.Tbl.find_opt t.filters peer with
-    | Some f -> f
-    | None ->
-        let f = fresh_filter t in
-        Ids.Switch_id.Tbl.replace t.filters peer f;
-        invalidate t;
-        f
+    | Some e ->
+        e.built_from <- None;
+        e
+    | None -> add_peer t peer None
   in
-  add_keys filter added;
+  add_keys e.filter added;
   List.iter
     (fun (k : Proto.host_key) ->
-      Bloom.Counting.remove filter (Proto.mac_key k.mac);
-      Bloom.Counting.remove filter (Proto.ip_key k.ip))
+      Bloom.Counting.remove e.filter (Proto.mac_key k.mac);
+      Bloom.Counting.remove e.filter (Proto.ip_key k.ip))
     removed
 
 let drop_peer t peer =
-  Ids.Switch_id.Tbl.remove t.filters peer;
-  invalidate t
+  match Ids.Switch_id.Tbl.find_opt t.filters peer with
+  | Some e ->
+      t.spares <- e.filter :: t.spares;
+      Ids.Switch_id.Tbl.remove t.filters peer;
+      invalidate t
+  | None -> ()
 
 let peers t = List.map fst (Array.to_list (peer_array t))
 let n_peers t = Ids.Switch_id.Tbl.length t.filters
@@ -124,13 +155,14 @@ let has_candidate key t =
 let has_candidate_ip t ip = has_candidate (Proto.ip_key ip) t
 
 let storage_bytes t =
-  (* Reported as the plain-Bloom wire size (bits), as in the paper's
-     92,160-byte example; the counting representation is a host-side
-     implementation detail. *)
+  (* Reported as the plain-Bloom wire size (one bit per counter), as in
+     the paper's 92,160-byte example; the counting representation is a
+     host-side implementation detail. *)
   Ids.Switch_id.Tbl.fold
-    (fun _ f acc -> acc + (Bloom.bits (Bloom.Counting.to_plain f) / 8))
+    (fun _ e acc -> acc + (Bloom.Counting.counters e.filter / 8))
     t.filters 0
 
 let clear t =
+  Array.iter (fun (_, f) -> t.spares <- f :: t.spares) (peer_array t);
   Ids.Switch_id.Tbl.reset t.filters;
   invalidate t

@@ -13,13 +13,22 @@ open Lazyctrl_net
 type t
 
 val create : ?bits_per_entry:int -> ?expected_hosts_per_switch:int -> unit -> t
-(** Defaults: 128 bits/entry and 64 expected hosts per peer, i.e. a
-    2048-byte filter per peer — the paper's 16 blocks of 128 bytes —
-    giving a far-below-0.1% false-positive rate. Filters are sized once
-    per peer and rebuilt on full syncs. *)
+(** Defaults: 128 bits/entry and 64 expected hosts per peer, i.e. 16384
+    counters per peer — the paper's 16 blocks of 128 bytes, 2048 bytes
+    as a plain filter on the wire and in {!storage_bytes} — giving a
+    far-below-0.1% false-positive rate.  The host-side counting filter
+    keeps one 8-bit counter per bit, so it takes 16 KiB per peer.
+
+    Memory rules: a peer's filter is created once, when the peer first
+    appears, and rebuilt in place by later full syncs.  A full sync
+    whose key list equals the one the filter was last built from, with
+    no incremental advert since, is a no-op.  Filters of dropped peers
+    are recycled for the next new peer before any is allocated. *)
 
 val set_peer : t -> Ids.Switch_id.t -> Proto.host_key list -> unit
-(** Full replacement of a peer's filter (grouping change / full sync). *)
+(** Full replacement of a peer's filter (grouping change / full sync).
+    The result is the filter built from that list alone; nothing is
+    rebuilt when that is already the filter's state. *)
 
 val apply_advert :
   t -> Ids.Switch_id.t -> added:Proto.host_key list -> removed:Proto.host_key list -> unit

@@ -96,6 +96,153 @@ let test_gfib_storage () =
   (* 128 bits x 2 keys x 64 hosts = 16384 bits = 2048 bytes. *)
   check Alcotest.int "2048 bytes per peer" 2048 (Gfib.storage_bytes g)
 
+(* Edge cases of the in-place rebuild: a full sync is a no-op only when
+   nothing touched the filter since that list built it, and a recycled
+   filter starts empty. *)
+let mac_cands g i = List.map Ids.Switch_id.to_int (Gfib.candidates_mac g (host i).Host.mac)
+let ip_cands g i = List.map Ids.Switch_id.to_int (Gfib.candidates_ip g (host i).Host.ip)
+let ints = Alcotest.list Alcotest.int
+
+let test_gfib_resync_after_advert_rebuilds () =
+  let g = Gfib.create () in
+  let keys = [ key_of (host 1); key_of (host 2) ] in
+  Gfib.set_peer g (sid 1) keys;
+  Gfib.apply_advert g (sid 1) ~added:[ key_of (host 3) ] ~removed:[ key_of (host 1) ];
+  Gfib.set_peer g (sid 1) keys;
+  check ints "advert-added key gone" [] (mac_cands g 3);
+  check ints "advert-removed key back" [ 1 ] (mac_cands g 1)
+
+let test_gfib_recycled_filter_is_empty () =
+  let g = Gfib.create () in
+  Gfib.set_peer g (sid 1) [ key_of (host 1) ];
+  Gfib.drop_peer g (sid 1);
+  Gfib.set_peer g (sid 2) [ key_of (host 2) ];
+  check ints "dropped peer's key not in its recycled filter" [] (mac_cands g 1);
+  Gfib.clear g;
+  Gfib.apply_advert g (sid 3) ~added:[ key_of (host 3) ] ~removed:[];
+  check ints "cleared peer's key not in its recycled filter" [] (mac_cands g 2);
+  check ints "new key present" [ 3 ] (mac_cands g 3)
+
+let test_gfib_reordered_list_same_answers () =
+  let keys = List.init 12 (fun i -> key_of (host i)) in
+  let g = Gfib.create ~bits_per_entry:2 ~expected_hosts_per_switch:8 () in
+  let fresh = Gfib.create ~bits_per_entry:2 ~expected_hosts_per_switch:8 () in
+  Gfib.set_peer g (sid 1) keys;
+  Gfib.set_peer g (sid 1) (List.rev keys);
+  Gfib.set_peer fresh (sid 1) keys;
+  for i = 0 to 40 do
+    check ints "same mac answer" (mac_cands fresh i) (mac_cands g i);
+    check ints "same ip answer" (ip_cands fresh i) (ip_cands g i)
+  done
+
+(* Model-based check: random operation sequences against a reference
+   G-FIB that builds a fresh counting filter on every full sync.  The
+   filters are tiny (64 counters) so that collisions make any residue
+   from a skipped or partial rebuild visible in the answers. *)
+module Bloom = Lazyctrl_bloom.Bloom
+
+type gfib_op =
+  | Set of int * int list
+  | Advert of int * int list * int list
+  | Drop of int
+  | Clear
+
+let gfib_op_to_string =
+  let ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
+  function
+  | Set (p, ks) -> Printf.sprintf "set %d %s" p (ints ks)
+  | Advert (p, a, r) -> Printf.sprintf "advert %d +%s -%s" p (ints a) (ints r)
+  | Drop p -> Printf.sprintf "drop %d" p
+  | Clear -> "clear"
+
+let gfib_op_gen =
+  let open QCheck2.Gen in
+  let peer = int_range 0 3 in
+  let keys = list_size (int_range 0 5) (int_range 0 11) in
+  (* Full syncs draw mostly from a small pool, so unchanged re-syncs and
+     reorderings are common. *)
+  let pool = [ []; [ 0; 1; 2 ]; [ 2; 1; 0 ]; [ 3; 4; 5; 6; 7 ]; [ 8; 8; 9 ] ] in
+  let sync_keys = frequency [ (3, oneofl pool); (1, keys) ] in
+  frequency
+    [
+      (6, map2 (fun p ks -> Set (p, ks)) peer sync_keys);
+      (3, map3 (fun p a r -> Advert (p, a, r)) peer keys keys);
+      (1, map (fun p -> Drop p) peer);
+      (1, pure Clear);
+    ]
+
+let test_gfib_model =
+  let bits_per_entry = 2 and expected = 16 in
+  let counters = bits_per_entry * 2 * expected in
+  let hk i = key_of (host i) in
+  let run ops =
+    let g = Gfib.create ~bits_per_entry ~expected_hosts_per_switch:expected () in
+    let model : (int, Bloom.Counting.t) Hashtbl.t = Hashtbl.create 8 in
+    let model_filter p =
+      match Hashtbl.find_opt model p with
+      | Some f -> f
+      | None ->
+          let f = Bloom.Counting.create ~counters () in
+          Hashtbl.replace model p f;
+          f
+    in
+    let add f i =
+      Bloom.Counting.add f (Proto.mac_key (hk i).mac);
+      Bloom.Counting.add f (Proto.ip_key (hk i).ip)
+    in
+    let remove f i =
+      Bloom.Counting.remove f (Proto.mac_key (hk i).mac);
+      Bloom.Counting.remove f (Proto.ip_key (hk i).ip)
+    in
+    let apply = function
+      | Set (p, ks) ->
+          Gfib.set_peer g (sid p) (List.map hk ks);
+          let f = Bloom.Counting.create ~counters () in
+          List.iter (add f) ks;
+          Hashtbl.replace model p f
+      | Advert (p, a, r) ->
+          Gfib.apply_advert g (sid p) ~added:(List.map hk a) ~removed:(List.map hk r);
+          let f = model_filter p in
+          List.iter (add f) a;
+          List.iter (remove f) r
+      | Drop p ->
+          Gfib.drop_peer g (sid p);
+          Hashtbl.remove model p
+      | Clear ->
+          Gfib.clear g;
+          Hashtbl.reset model
+    in
+    let model_peers () = List.sort Int.compare (Hashtbl.fold (fun p _ acc -> p :: acc) model []) in
+    let model_candidates key =
+      List.filter (fun p -> Bloom.Counting.mem (Hashtbl.find model p) key) (model_peers ())
+    in
+    let agrees () =
+      let ids l = List.map Ids.Switch_id.to_int l in
+      ids (Gfib.peers g) = model_peers ()
+      && Gfib.n_peers g = Hashtbl.length model
+      && Gfib.storage_bytes g
+         = Hashtbl.fold
+             (fun _ f acc -> acc + (Bloom.bits (Bloom.Counting.to_plain f) / 8))
+             model 0
+      && List.for_all
+           (fun i ->
+             let k = hk i in
+             ids (Gfib.candidates_mac g k.mac) = model_candidates (Proto.mac_key k.mac)
+             && ids (Gfib.candidates_ip g k.ip) = model_candidates (Proto.ip_key k.ip))
+           (List.init 16 Fun.id)
+    in
+    List.for_all
+      (fun op ->
+        apply op;
+        agrees ())
+      ops
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"G-FIB agrees with a rebuild-every-sync model"
+       ~print:(fun ops -> String.concat "; " (List.map gfib_op_to_string ops))
+       QCheck2.Gen.(list_size (int_range 1 40) gfib_op_gen)
+       run)
+
 (* --- Edge switch with a recording environment --------------------------------- *)
 
 type recorded = {
@@ -526,6 +673,13 @@ let () =
           Alcotest.test_case "set and query" `Quick test_gfib_set_and_query;
           Alcotest.test_case "advert lifecycle" `Quick test_gfib_advert_lifecycle;
           Alcotest.test_case "storage geometry" `Quick test_gfib_storage;
+          Alcotest.test_case "re-sync after advert rebuilds" `Quick
+            test_gfib_resync_after_advert_rebuilds;
+          Alcotest.test_case "recycled filter is empty" `Quick
+            test_gfib_recycled_filter_is_empty;
+          Alcotest.test_case "reordered list, same answers" `Quick
+            test_gfib_reordered_list_same_answers;
+          test_gfib_model;
         ] );
       ( "datapath (Fig. 5)",
         [
