@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-check lint-json lint-sarif lint-ownership lint-hotpath bench bench-json bench-check shard-check chaos chaos-cluster clean
+.PHONY: all build test lint lint-check lint-json lint-sarif lint-hotpath bench bench-json bench-check chaos chaos-cluster clean
 
 all: build
 
@@ -30,16 +30,6 @@ lint-sarif:
 	  > _build/lint-report.sarif
 	@echo "wrote _build/lint-report.sarif"
 
-# Shared-state ownership report: every module's ownership class
-# (shard-local / shard-crossing / read-only-after-init) next to its
-# declared mutable state.  This is the synchronization worklist the
-# multicore sharding PR consumes (ROADMAP item 2, DESIGN.md §9).
-lint-ownership:
-	dune build bin/lazyctrl_lint.exe
-	./_build/default/bin/lazyctrl_lint.exe --root . --ownership-report \
-	  > _build/ownership-report.json
-	@echo "wrote _build/ownership-report.json"
-
 # H00x hot-path cross-validation (DESIGN.md §10): measure every probe
 # declared in lib/analysis/hotspec.ml with the bench hotpath targets,
 # then judge the static verdict against the measured minor-words-per-op
@@ -70,15 +60,6 @@ bench-json:
 # when any target loses more than 15% ops/sec or disappears.
 bench-check: bench-json
 	./_build/default/bench/main.exe compare BENCH_baseline.json BENCH_lazyctrl.json
-
-# Domain-parallel determinism gate: the sharded engine must produce
-# byte-identical fingerprints double-run and across domain counts
-# (the local mirror of the CI multicore matrix).
-shard-check:
-	dune build bin/lazyctrl_cli.exe
-	./_build/default/bin/lazyctrl_cli.exe shard-check --domains 1
-	./_build/default/bin/lazyctrl_cli.exe shard-check --domains 2
-	./_build/default/bin/lazyctrl_cli.exe shard-check --domains 4
 
 # Seeded chaos scenario + the loss-rate sweep (robustness regression).
 chaos:

@@ -476,147 +476,6 @@ let perf_packet_replay () =
        ~events:(fun () -> !events)
        workload)
 
-(* packet-replay-dN: the packet-replay scenario on the domain-parallel
-   sharded engine (Shard_net) at 1, 2 and 4 domains.  The logical
-   shard count is fixed (4), so all three runs execute the identical
-   event schedule — the probe checks their fingerprints are
-   byte-identical before timing anything, then reports the d2/d4 rows
-   with scaling_efficiency = ops_dN / (N * ops_d1) for the Compare
-   scaling gate (floor 2.5x at 4 domains, gated only on hosts with
-   enough cores).  Exchange statistics from the verification runs are
-   emitted via --exchange-json for the CI artifact. *)
-let shard_replay_scenario ~domains () =
-  let module Time = Lazyctrl_sim.Time in
-  let module Shard_net = Lazyctrl_core.Shard_net in
-  let module Placement = Lazyctrl_topo.Placement in
-  let module Topology = Lazyctrl_topo.Topology in
-  let packets_per_flow = if !quick then 6 else 12 in
-  let topo =
-    Placement.generate
-      ~rng:(Lazyctrl_util.Prng.create 5)
-      {
-        Placement.n_switches = 8;
-        n_tenants = 4;
-        tenant_size_min = 6;
-        tenant_size_max = 10;
-        racks_per_tenant = 2;
-        stray_fraction = 0.1;
-      }
-  in
-  let net = Shard_net.create ~domains ~topo ~horizon:(Time.of_min 5) () in
-  Shard_net.bootstrap net;
-  Shard_net.run net ~until:(Time.of_sec 10);
-  List.iter
-    (fun tenant ->
-      match Topology.tenant_hosts topo tenant with
-      | first :: rest ->
-          List.iter
-            (fun (peer : Lazyctrl_net.Host.t) ->
-              Shard_net.start_flow net ~src:first.Lazyctrl_net.Host.id
-                ~dst:peer.id ~bytes:20_000 ~packets:packets_per_flow)
-            rest
-      | [] -> ())
-    (Topology.tenants topo);
-  Shard_net.run net ~until:(Time.of_min 3);
-  net
-
-let exchange_stats : (int * Lazyctrl_sim.Shard_engine.stats) list ref = ref []
-
-let perf_shard_replay () =
-  let module Shard_net = Lazyctrl_core.Shard_net in
-  let domain_counts = [ 1; 2; 4 ] in
-  (* One verification run per domain count: fingerprints must agree
-     byte-for-byte before throughput means anything.  These runs also
-     double as warmup, size the op count, and feed --exchange-json. *)
-  let verify =
-    List.map
-      (fun domains ->
-        let net = shard_replay_scenario ~domains () in
-        let fp = Shard_net.fingerprint net in
-        let delivered =
-          (Shard_net.switch_stats_sum net).Lazyctrl_switch.Edge_switch
-            .packets_delivered
-        in
-        exchange_stats :=
-          (domains, (Shard_net.stats net).Shard_net.engine) :: !exchange_stats;
-        Shard_net.shutdown net;
-        (domains, fp, delivered))
-      domain_counts
-  in
-  let _, fp1, delivered = List.hd verify in
-  List.iter
-    (fun (domains, fp, _) ->
-      if not (String.equal fp fp1) then begin
-        Printf.eprintf
-          "packet-replay-d%d: fingerprint diverges from the 1-domain run\n"
-          domains;
-        exit 1
-      end)
-    verify;
-  Printf.printf
-    "fingerprints byte-identical across %s domains (%d packets delivered)\n"
-    (String.concat "/" (List.map string_of_int domain_counts))
-    delivered;
-  let measure domains =
-    let events = ref 0 in
-    Perf.Measure.run
-      ~name:(Printf.sprintf "packet-replay-d%d" domains)
-      ~warmup:0 ~domains
-      ~reps:(if !quick then 4 else 5)
-      ~ops_per_rep:(max 1 delivered)
-      ~events:(fun () -> !events)
-      (fun () ->
-        let net = shard_replay_scenario ~domains () in
-        events := (Shard_net.stats net).Shard_net.engine.Lazyctrl_sim.Shard_engine.events;
-        Shard_net.shutdown net)
-  in
-  let d1 = measure 1 in
-  perf_record d1;
-  List.iter
-    (fun domains ->
-      let r = measure domains in
-      let efficiency =
-        r.Perf.Measure.ops_per_sec
-        /. (float_of_int domains *. d1.Perf.Measure.ops_per_sec)
-      in
-      perf_record (Perf.Measure.with_scaling r ~efficiency))
-    (List.filter (fun d -> d > 1) domain_counts)
-
-let write_exchange_json path =
-  let module SE = Lazyctrl_sim.Shard_engine in
-  let module J = Perf.Json in
-  let entry (domains, (st : SE.stats)) =
-    J.Obj
-      [
-        ("domains", J.Num (float_of_int domains));
-        ("shards", J.Num (float_of_int st.SE.shards));
-        ("windows", J.Num (float_of_int st.SE.windows));
-        ("messages", J.Num (float_of_int st.SE.messages));
-        ("max_window_batch", J.Num (float_of_int st.SE.max_window_batch));
-        ("events", J.Num (float_of_int st.SE.events));
-        ( "pair_counts",
-          J.List
-            (Array.to_list
-               (Array.map
-                  (fun row ->
-                    J.List
-                      (Array.to_list
-                         (Array.map (fun c -> J.Num (float_of_int c)) row)))
-                  st.SE.pair_counts)) );
-      ]
-  in
-  let doc =
-    J.Obj
-      [
-        ("suite", J.Str "lazyctrl-shard-exchange");
-        ("host_cores", J.Num (float_of_int (Perf.Report.detected_host_cores ())));
-        ("runs", J.List (List.map entry (List.rev !exchange_stats)));
-      ]
-  in
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (J.to_string doc));
-  Printf.printf "wrote %s (%d runs)\n" path (List.length !exchange_stats)
-
 (* trace-overhead: the packet-replay scenario with the flight recorder
    left disabled (the guard cost every untraced run pays — this row
    feeds the JSON regression gate, so `make bench-check` holds it to
@@ -964,7 +823,6 @@ let t_perf () =
   perf_wire_decode ();
   perf_buffered_punt ();
   perf_packet_replay ();
-  perf_shard_replay ();
   perf_cluster_migration ();
   perf_trace_overhead ()
 
@@ -975,14 +833,6 @@ let t_perf_replay () =
   section "Perf: packet-replay only (pipeline smoke target)";
   Printf.printf "%-16s %14s %12s %12s\n" "target" "ops/sec" "ns/op" "B/op";
   perf_packet_replay ()
-
-(* Just the sharded-engine replay probes: the multicore CI leg runs
-   this with --exchange-json to produce the artifact without paying
-   for the full perf sweep. *)
-let t_shard_replay () =
-  section "Perf: domain-parallel packet replay (packet-replay-d{1,2,4})";
-  Printf.printf "%-16s %14s %12s %12s\n" "target" "ops/sec" "ns/op" "B/op";
-  perf_shard_replay ()
 
 (* Just the cluster-migration perf target, runnable on its own. *)
 let t_cluster_migration () =
@@ -1006,19 +856,9 @@ let run_compare baseline_path current_path =
         Printf.eprintf "compare: %s\n" msg;
         exit 2
   in
-  let baseline = load baseline_path in
-  let current =
-    match Perf.Report.load_doc current_path with
-    | Ok doc -> doc
-    | Error msg ->
-        Printf.eprintf "compare: %s\n" msg;
-        exit 2
-  in
-  (* host_cores comes from the current run: the scaling gate judges the
-     machine that produced the numbers under test, not the baseline's. *)
   let outcome =
-    Perf.Compare.diff ~host_cores:current.Perf.Report.host_cores ~baseline
-      ~current:current.Perf.Report.results ()
+    Perf.Compare.diff ~baseline:(load baseline_path)
+      ~current:(load current_path) ()
   in
   Format.printf "%a" Perf.Compare.pp outcome;
   exit (if Perf.Compare.passed outcome then 0 else 1)
@@ -1046,7 +886,6 @@ let targets =
     ("wire-codec", t_wire_codec);
     ("hotpath", t_hotpath);
     ("perf-replay", t_perf_replay);
-    ("shard-replay", t_shard_replay);
     ("cluster-migration", t_cluster_migration);
     ("trace-overhead", t_trace_overhead);
   ]
@@ -1059,7 +898,6 @@ let write_json_report path =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let json_path = ref None in
-  let exchange_path = ref None in
   let rec strip_flags acc = function
     | [] -> List.rev acc
     | "--quick" :: rest ->
@@ -1070,12 +908,6 @@ let () =
         strip_flags acc rest
     | [ "--json" ] ->
         Printf.eprintf "--json needs a file path\n";
-        exit 2
-    | "--exchange-json" :: path :: rest ->
-        exchange_path := Some path;
-        strip_flags acc rest
-    | [ "--exchange-json" ] ->
-        Printf.eprintf "--exchange-json needs a file path\n";
         exit 2
     | a :: rest -> strip_flags (a :: acc) rest
   in
@@ -1101,16 +933,6 @@ let () =
               Printf.eprintf "unknown target %S (use --list)\n" name;
               exit 1)
         names);
-  (match !exchange_path with
-  | Some path when not (List.is_empty !exchange_stats) ->
-      write_exchange_json path
-  | Some path ->
-      Printf.eprintf
-        "--exchange-json %s: no sharded targets ran (include \"shard-replay\" \
-         or \"perf\")\n"
-        path;
-      exit 2
-  | None -> ());
   match !json_path with
   | Some path when not (List.is_empty !perf_results) -> write_json_report path
   | Some path ->

@@ -8,9 +8,6 @@
                  query a trace file (JSONL / Chrome trace_event)
      experiment  run one of the paper's tables/figures (same targets as
                  bench/main.exe)
-     shard-check verify the domain-parallel sharded engine produces
-                 byte-identical fingerprints across runs and domain
-                 counts (the CI multicore matrix gate)
      chaos       run a seeded multi-fault chaos scenario with lossy
                  channels and report the convergence invariants
 *)
@@ -530,122 +527,6 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Re-run one of the paper's tables or figures.")
     Term.(const experiment $ exp_name $ quick)
 
-(* --- shard-check ------------------------------------------------------------ *)
-
-(* Determinism gate for the domain-parallel engine, cheap enough for a
-   CI matrix leg: run the same seeded scenario twice at the requested
-   domain count and once single-domain, and require all three
-   fingerprints byte-identical.  Any divergence — a data race, an
-   unordered cross-shard drain, a window misalignment — shows up as a
-   mismatch and a nonzero exit. *)
-
-let shard_check seed switches tenants domains shards =
-  let spec =
-    {
-      Placement.n_switches = switches;
-      n_tenants = tenants;
-      tenant_size_min = 4;
-      tenant_size_max = 8;
-      racks_per_tenant = 2;
-      stray_fraction = 0.1;
-    }
-  in
-  let run_once ~domains =
-    let topo = Placement.generate ~rng:(Prng.create seed) spec in
-    let net =
-      Shard_net.create ?domains
-        ?shards:(if shards > 0 then Some shards else None)
-        ~topo ~horizon:(Time.of_min 5) ()
-    in
-    Shard_net.bootstrap net;
-    Shard_net.run net ~until:(Time.of_sec 5);
-    List.iter
-      (fun tenant ->
-        match Topology.tenant_hosts topo tenant with
-        | first :: rest ->
-            List.iter
-              (fun (peer : Lazyctrl_net.Host.t) ->
-                Shard_net.start_flow net ~src:first.Lazyctrl_net.Host.id
-                  ~dst:peer.id ~bytes:12_000 ~packets:5)
-              rest
-        | [] -> ())
-      (Topology.tenants topo);
-    Shard_net.run net ~until:(Time.of_min 3);
-    let fp = Shard_net.fingerprint net in
-    let st = Shard_net.stats net in
-    let d = Shard_net.domains net in
-    let s = Shard_net.switch_shards net in
-    let w = Shard_net.window net in
-    Shard_net.shutdown net;
-    (fp, st, d, s, w)
-  in
-  let requested = if domains > 0 then Some domains else None in
-  let fp_a, st, d, s, w = run_once ~domains:requested in
-  let fp_b, _, _, _, _ = run_once ~domains:requested in
-  let fp_1, _, _, _, _ = run_once ~domains:(Some 1) in
-  Printf.printf
-    "shard-check: %d switches on %d+1 logical shards, window %d us, %d \
-     domain(s), seed %d\n"
-    switches s
-    (Time.to_ns w / 1_000)
-    d seed;
-  let e = st.Shard_net.engine in
-  Printf.printf
-    "exchange: %d windows, %d cross-shard messages (max %d/window), %d events\n"
-    e.Lazyctrl_sim.Shard_engine.windows e.Lazyctrl_sim.Shard_engine.messages
-    e.Lazyctrl_sim.Shard_engine.max_window_batch
-    e.Lazyctrl_sim.Shard_engine.events;
-  Printf.printf "flows: %d started, %d delivered; underlay %d delivered / %d dropped\n"
-    st.Shard_net.flows_started st.Shard_net.flows_delivered
-    st.Shard_net.underlay_delivered st.Shard_net.underlay_dropped;
-  Printf.printf "fingerprint: %s (%d bytes)\n"
-    (Digest.to_hex (Digest.string fp_a))
-    (String.length fp_a);
-  let ok_double = String.equal fp_a fp_b in
-  let ok_cross = String.equal fp_a fp_1 in
-  Printf.printf "double-run %d-domain:    %s\n" d
-    (if ok_double then "identical" else "MISMATCH");
-  Printf.printf "cross-domain (%dd vs 1d): %s\n" d
-    (if ok_cross then "identical" else "MISMATCH");
-  if not (ok_double && ok_cross) then begin
-    prerr_endline "shard-check: FAIL — fingerprints diverge";
-    exit 1
-  end;
-  print_endline "shard-check: PASS"
-
-let shard_check_cmd =
-  let switches =
-    Arg.(
-      value & opt int 12
-      & info [ "switches" ] ~docv:"N" ~doc:"Number of edge switches.")
-  in
-  let tenants =
-    Arg.(
-      value & opt int 6 & info [ "tenants" ] ~docv:"N" ~doc:"Number of tenants.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 0
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domain count (0: the LAZYCTRL_DOMAINS environment \
-             variable, or 1).")
-  in
-  let shards =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Logical switch shards (0: auto, min 4 or the switch count).")
-  in
-  Cmd.v
-    (Cmd.info "shard-check"
-       ~doc:
-         "Verify the domain-parallel engine is deterministic: double-run \
-          and cross-domain fingerprint comparison, nonzero exit on any \
-          divergence.")
-    Term.(
-      const shard_check $ seed_arg $ switches $ tenants $ domains $ shards)
-
 (* --- chaos ----------------------------------------------------------------- *)
 
 let chaos_cluster seed switches tenants loss faults window members =
@@ -848,6 +729,5 @@ let () =
             workload_cmd;
             trace_cmd;
             experiment_cmd;
-            shard_check_cmd;
             chaos_cmd;
           ]))

@@ -196,7 +196,7 @@ let run ?(families = Rules.families) ~root ~allow_path () =
   (* Whole-program passes over the shared call graph. *)
   let cg_notes = ref [] in
   let whole_program =
-    if not (sel "E" || sel "L" || sel "X" || sel "S" || sel "H") then []
+    if not (sel "E" || sel "L" || sel "X" || sel "H") then []
     else begin
       let parsed =
         List.filter_map
@@ -251,17 +251,12 @@ let run ?(families = Rules.families) ~root ~allow_path () =
         end
         else []
       in
-      let s =
-        if sel "S" then
-          Shard.check ~spec:Ownership.default ~cg ~structures:parsed ()
-        else []
-      in
       let h =
         if sel "H" then
           Hotpath.check ~spec:Hotspec.default ~cg ~structures:parsed ()
         else []
       in
-      e @ l @ x @ s @ h
+      e @ l @ x @ h
     end
   in
   let all =
@@ -319,72 +314,6 @@ let report_to_json report =
   Buffer.add_string buf
     (Printf.sprintf "\n  ],\n  \"files_scanned\": %d,\n  \"clean\": %b\n}"
        report.files_scanned (clean report));
-  Buffer.contents buf
-
-(* --- ownership report ------------------------------------------------------- *)
-
-(* The sharding PR's synchronization worklist (`make lint-ownership`):
-   every scanned module's ownership class next to its declared mutable
-   state, plus the spec's entry points.  A module with mutable state and
-   no class is listed too — that is exactly the gap the sharding PR must
-   close before it can move the module onto a domain. *)
-let ownership_report_json ~root () =
-  let spec = Ownership.default in
-  let files =
-    List.concat_map (fun d -> files_under ~root ~suffix:".ml" d []) scan_dirs
-    |> List.sort String.compare
-  in
-  let buf = Buffer.create 4096 in
-  let str s = Printf.sprintf "\"%s\"" (Finding.json_escape s) in
-  Buffer.add_string buf "{\n  \"entries\": [";
-  List.iteri
-    (fun i (e : Ownership.entry) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\"phase\": %s, \"shard\": %s, \"id\": %s}"
-           (str (Ownership.phase_name e.Ownership.e_phase))
-           (str e.Ownership.e_shard) (str e.Ownership.e_id)))
-    spec.Ownership.entries;
-  Buffer.add_string buf "\n  ],\n  \"modules\": [";
-  let first = ref true in
-  List.iter
-    (fun rel ->
-      let c = parse_cached ~root rel in
-      let declared =
-        match c.c_parse with
-        | Ok s -> Mutinv.declared (Mutinv.scan ~file:rel s)
-        | Error _ -> []
-      in
-      let cls = Ownership.class_of spec ~file:rel in
-      (* keep the report focused: skip unclassified modules that hold no
-         mutable state (nothing to own) *)
-      if Option.is_some cls || not (List.is_empty declared) then begin
-        if not !first then Buffer.add_char buf ',';
-        first := false;
-        let cls_json, why_json =
-          match cls with
-          | None -> ("null", "null")
-          | Some (c, why) ->
-              ( str (Ownership.class_name c),
-                match why with None -> "null" | Some w -> str w )
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "\n    {\"file\": %s, \"class\": %s, \"why\": %s,\
-                           \ \"mutable\": ["
-             (str rel) cls_json why_json);
-        List.iteri
-          (fun i (m : Mutinv.item) ->
-            if i > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "{\"line\": %d, \"kind\": %s, \"name\": %s}" m.Mutinv.m_line
-                 (str (Mutinv.kind_name m.Mutinv.m_kind))
-                 (str m.Mutinv.m_name)))
-          declared;
-        Buffer.add_string buf "]}"
-      end)
-    files;
-  Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
 (* --- hotpath report --------------------------------------------------------- *)

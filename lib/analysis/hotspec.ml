@@ -4,7 +4,7 @@
    L-FIB/G-FIB datapath absorbs most traffic and the controller only sees
    misses.  That makes the edge datapath — together with the event loop
    that drives it and the probe structures it leans on — the hot loop of
-   the whole system, and ROADMAP item 2's scale-out only pays off if that
+   the whole system, and simulating at paper scale only pays off if that
    loop stays allocation-free.  PR 4 hand-built the no-alloc pieces (flat
    int heap, word-level Bloom probes, G-FIB candidate iteration); this
    spec is what *keeps* them that way.
@@ -19,7 +19,7 @@
    path).  Undocumented boundaries are exactly the rot this spec exists
    to prevent, so the justification is mandatory.
 
-   Serializable in the allowlist's line format, like Ownership. *)
+   Serializable in the allowlist's line format. *)
 
 type entry = { h_probe : string; h_id : string }
 type boundary = { b_id : string; b_why : string }

@@ -13,8 +13,6 @@
      paper's control-plane separation (switch never leans on controller
      internals; the controller drives switches only through Proto).
    - X00x: interface hygiene — dead exports and missing .mli files.
-   - S00x: domain safety — the code against the shared-state ownership
-     spec (Ownership/Shard), gating the multicore shard refactor.
    - H00x: hot-path allocation discipline — the code against the declared
      hot-path spec (Hotspec/Hotpath), cross-validated against measured
      minor-words-per-op budgets (Hotbudget). *)
@@ -35,10 +33,6 @@ let l_layering = "L001-layering"
 let l_lazy_separation = "L002-lazy-separation"
 let x_dead_export = "X001-dead-export"
 let x_missing_mli = "X002-missing-mli"
-let s_spec = "S000-ownership-spec"
-let s_shared_mutable = "S001-shared-mutable"
-let s_closure_escape = "S002-closure-escape"
-let s_init_write = "S003-init-write"
 let h_spec = "H000-hotpath-spec"
 let h_hot_alloc = "H001-hot-alloc"
 let h_hot_indirect = "H002-hot-indirect"
@@ -64,10 +58,6 @@ let all =
     l_lazy_separation;
     x_dead_export;
     x_missing_mli;
-    s_spec;
-    s_shared_mutable;
-    s_closure_escape;
-    s_init_write;
     h_spec;
     h_hot_alloc;
     h_hot_indirect;
@@ -81,7 +71,7 @@ let is_known r = List.exists (String.equal r) all
 (* Rule families, selectable with the CLI's [--rules] flag.  The family of
    a rule is the leading letter of its identifier; "allowlist" diagnostics
    (malformed entries) are not a family and always gate. *)
-let families = [ "D"; "A"; "P"; "E"; "L"; "X"; "S"; "H" ]
+let families = [ "D"; "A"; "P"; "E"; "L"; "X"; "H" ]
 let is_family f = List.exists (String.equal f) families
 
 let family_of rule =

@@ -2,8 +2,8 @@
 
     Families: D00x determinism, A00x abstraction safety, P00x protocol
     invariants, E00x interprocedural effects, L00x layering, X00x
-    interface hygiene, S00x domain safety, H00x hot-path allocation
-    discipline.  See README "Static analysis" for the rule table. *)
+    interface hygiene, H00x hot-path allocation discipline.  See README
+    "Static analysis" for the rule table. *)
 
 val d_hashtbl_order : string
 val d_raw_random : string
@@ -21,10 +21,6 @@ val l_layering : string
 val l_lazy_separation : string
 val x_dead_export : string
 val x_missing_mli : string
-val s_spec : string
-val s_shared_mutable : string
-val s_closure_escape : string
-val s_init_write : string
 val h_spec : string
 val h_hot_alloc : string
 val h_hot_indirect : string

@@ -156,43 +156,6 @@ let catalog =
          and layering passes check against.";
     };
     {
-      m_id = Rules.s_spec;
-      m_name = "OwnershipSpecDefect";
-      m_short = "Ownership spec is malformed or has drifted from the code";
-      m_help =
-        "Fix lib/analysis/ownership.ml: every crossing needs a written \
-         justification and every entry point must resolve to a \
-         definition.";
-    };
-    {
-      m_id = Rules.s_shared_mutable;
-      m_name = "SharedMutableState";
-      m_short =
-        "Shard-local mutable state reachable from two or more shards";
-      m_help =
-        "Give each domain its own instance, or reclassify the module as \
-         shard-crossing with the synchronization documented.";
-    };
-    {
-      m_id = Rules.s_closure_escape;
-      m_name = "ClosureEscape";
-      m_short =
-        "Mutating closure escapes onto the event queue or a channel \
-         callback";
-      m_help =
-        "The closure outlives its creator; under sharding it must stay \
-         pinned to the domain owning the state it captures.";
-    };
-    {
-      m_id = Rules.s_init_write;
-      m_name = "InitOnlyWrite";
-      m_short =
-        "Write to read-only-after-init state reachable from the run loop";
-      m_help =
-        "Mutate during setup only, or the module's ownership class is \
-         wrong.";
-    };
-    {
       m_id = Rules.h_spec;
       m_name = "HotpathSpecDefect";
       m_short = "Hot-path spec is malformed or has drifted from the code";

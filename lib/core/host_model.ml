@@ -12,7 +12,6 @@ type flow_meta = {
 
 type delivery =
   | Data_first of flow_meta
-  | Data_remote of int
   | Data_duplicate
   | Arp_handled
   | Not_for_host
@@ -27,9 +26,6 @@ type t = {
       (* (host, peer ip) -> queued flows (src, dst, bytes, packets,
          initiated-at), newest first *)
   in_flight : (int, flow_meta) Hashtbl.t; (* flow id -> meta *)
-  seen_remote : (int, unit) Hashtbl.t; (* remotely-owned ids already seen *)
-  flow_id_base : int;
-  flow_id_stride : int;
   mutable next_flow_id : int;
   mutable started : int;
   mutable delivered : int;
@@ -37,10 +33,7 @@ type t = {
   mutable arp_failed : int;
 }
 
-let create ?(flow_id_base = 0) ?(flow_id_stride = 1) engine ~send ~arp_ttl
-    ~stack_delay =
-  if flow_id_stride < 1 || flow_id_base < 0 || flow_id_base >= flow_id_stride
-  then invalid_arg "Host_model.create: need 0 <= flow_id_base < flow_id_stride";
+let create engine ~send ~arp_ttl ~stack_delay =
   {
     engine;
     send;
@@ -49,10 +42,7 @@ let create ?(flow_id_base = 0) ?(flow_id_stride = 1) engine ~send ~arp_ttl
     arp_cache = Hashtbl.create 4096;
     pending = Hashtbl.create 256;
     in_flight = Hashtbl.create 1024;
-    seen_remote = Hashtbl.create 64;
-    flow_id_base;
-    flow_id_stride;
-    next_flow_id = flow_id_base;
+    next_flow_id = 0;
     started = 0;
     delivered = 0;
     arp_sent = 0;
@@ -72,7 +62,7 @@ let vlan_of (h : Host.t) = Lazyctrl_topo.Topology.vlan_of_tenant h.tenant
 
 let send_data t (src : Host.t) (dst : Host.t) ~bytes ~packets ~initiated =
   let id = t.next_flow_id in
-  t.next_flow_id <- t.next_flow_id + t.flow_id_stride;
+  t.next_flow_id <- t.next_flow_id + 1;
   t.started <- t.started + 1;
   (* Latency is measured from flow initiation, so a first packet held back
      by ARP resolution carries the resolution cost, as in the paper's
@@ -175,32 +165,13 @@ let deliver t ~to_ packet =
       if not (Mac.equal eth.Packet.dst host.mac) then Not_for_host
       else begin
         let id = flow_id_of p in
-        if id mod t.flow_id_stride <> t.flow_id_base then
-          (* The flow's metadata lives in another shard's model (disjoint
-             id spaces under a sharded run).  Dedup locally; the caller
-             posts a completion receipt back to the owning shard. *)
-          if Hashtbl.mem t.seen_remote id then Data_duplicate
-          else begin
-            Hashtbl.replace t.seen_remote id ();
-            Data_remote id
-          end
-        else
-          match Hashtbl.find_opt t.in_flight id with
-          | Some meta when Ids.Host_id.equal meta.dst host.id ->
-              Hashtbl.remove t.in_flight id;
-              t.delivered <- t.delivered + 1;
-              Data_first meta
-          | Some _ -> Data_duplicate
-          | None -> Data_duplicate
+        match Hashtbl.find_opt t.in_flight id with
+        | Some meta when Ids.Host_id.equal meta.dst host.id ->
+            Hashtbl.remove t.in_flight id;
+            t.delivered <- t.delivered + 1;
+            Data_first meta
+        | Some _ | None -> Data_duplicate
       end
-
-let complete_remote t id =
-  match Hashtbl.find_opt t.in_flight id with
-  | Some meta ->
-      Hashtbl.remove t.in_flight id;
-      t.delivered <- t.delivered + 1;
-      Some meta
-  | None -> None
 
 let resolutions_failed t = t.arp_failed
 let flows_started t = t.started

@@ -24,28 +24,18 @@ type flow_meta = {
 
 type delivery =
   | Data_first of flow_meta  (** first delivery of a flow's first packet *)
-  | Data_remote of int
-      (** first delivery of a flow whose metadata lives in another
-          shard's model (its id is outside this model's id space); the
-          caller posts a {!complete_remote} receipt to the owner *)
   | Data_duplicate           (** Bloom-multicast duplicate or flooded copy *)
   | Arp_handled              (** request answered or reply consumed *)
   | Not_for_host             (** flooded frame for someone else; ignored *)
 
 val create :
-  ?flow_id_base:int ->
-  ?flow_id_stride:int ->
   Engine.t ->
   send:(Host.t -> Packet.t -> unit) ->
   arp_ttl:Time.t ->
   stack_delay:Time.t ->
   t
 (** [send] injects a frame at the host's edge switch (the caller adds the
-    host-port latency).  [flow_id_base]/[flow_id_stride] (default 0/1)
-    carve disjoint flow-id spaces for per-shard models under
-    {!Shard_net}: model [b] of stride [s] allocates ids [b, b+s, …], so
-    [id mod s] names the owning model.
-    @raise Invalid_argument unless [0 <= flow_id_base < flow_id_stride]. *)
+    host-port latency). *)
 
 val start_flow : t -> src:Host.t -> dst:Host.t -> bytes:int -> packets:int -> unit
 (** Initiate a flow; sends the data packet directly on a warm ARP cache,
@@ -57,11 +47,6 @@ val deliver : t -> to_:Host.t -> Packet.t -> delivery
 (** Process a frame arriving at a host. ARP requests for the host trigger
     a reply after the stack delay; ARP replies resolve the cache and
     release queued flows. *)
-
-val complete_remote : t -> int -> flow_meta option
-(** Owner-side receipt for a flow first-delivered in another shard:
-    retires the in-flight entry and counts the delivery.  [None] when the
-    id is unknown or already completed (e.g. a duplicate receipt). *)
 
 val flows_started : t -> int
 val flows_delivered : t -> int

@@ -90,7 +90,6 @@ let host_delivery t host pkt =
         Recorder.record_fast_path_latency t.recorder
           ~n:(meta.Host_model.packets - 1)
           (fast_path_latency t ~src:meta.Host_model.src ~dst:meta.Host_model.dst)
-  | Host_model.Data_remote _ (* impossible at stride 1 *)
   | Host_model.Data_duplicate | Host_model.Arp_handled | Host_model.Not_for_host
     ->
       ()

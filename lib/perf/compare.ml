@@ -15,11 +15,6 @@ let default_threshold = 0.15
 
 let alloc_slack = 0.5
 
-(* 2.5x speedup at 4 domains, the acceptance bar for the sharded
-   engine, expressed per-domain: 2.5 / 4.  The same floor applies at 2
-   domains (1.25x), which the window protocol clears with more room. *)
-let scaling_floor = 0.625
-
 type verdict = Ok_ | Improved | Regressed | New | Missing
 
 type row = {
@@ -29,12 +24,10 @@ type row = {
   ratio : float option;  (** current / baseline *)
   baseline_words : float option;
   current_words : float option;
-  domains : int;
-  scaling : float option;
   verdict : verdict;
 }
 
-type outcome = { rows : row list; failures : string list; notes : string list }
+type outcome = { rows : row list; failures : string list }
 
 let verdict_label = function
   | Ok_ -> "ok"
@@ -46,7 +39,7 @@ let verdict_label = function
 let find name (results : Measure.result list) =
   List.find_opt (fun (r : Measure.result) -> String.equal r.name name) results
 
-let diff ?(threshold = default_threshold) ?host_cores ~baseline ~current () =
+let diff ?(threshold = default_threshold) ~baseline ~current () =
   if threshold <= 0.0 || threshold >= 1.0 then
     invalid_arg "Compare.diff: threshold outside (0,1)";
   let names =
@@ -65,22 +58,8 @@ let diff ?(threshold = default_threshold) ?host_cores ~baseline ~current () =
               > (b.Measure.minor_words_per_op *. (1.0 +. threshold))
                 +. alloc_slack
             in
-            (* A multi-domain target on a host with fewer cores than
-               domains times the scheduler, not the code: its wall
-               clock is noise, so only its (deterministic) allocation
-               gates.  Scaling for such rows is skipped below, with a
-               note. *)
-            let core_starved =
-              c.Measure.domains > 1
-              &&
-              match host_cores with
-              | Some hc -> hc < c.Measure.domains
-              | None -> true
-            in
             let verdict =
-              if (ratio < 1.0 -. threshold && not core_starved)
-                 || alloc_regressed
-              then Regressed
+              if ratio < 1.0 -. threshold || alloc_regressed then Regressed
               else if ratio > 1.0 +. threshold then Improved
               else Ok_
             in
@@ -91,8 +70,6 @@ let diff ?(threshold = default_threshold) ?host_cores ~baseline ~current () =
               ratio = Some ratio;
               baseline_words = Some b.Measure.minor_words_per_op;
               current_words = Some c.Measure.minor_words_per_op;
-              domains = c.Measure.domains;
-              scaling = c.Measure.scaling_efficiency;
               verdict;
             }
         | Some b, None ->
@@ -103,8 +80,6 @@ let diff ?(threshold = default_threshold) ?host_cores ~baseline ~current () =
               ratio = None;
               baseline_words = Some b.Measure.minor_words_per_op;
               current_words = None;
-              domains = b.Measure.domains;
-              scaling = None;
               verdict = Missing;
             }
         | None, Some c ->
@@ -115,8 +90,6 @@ let diff ?(threshold = default_threshold) ?host_cores ~baseline ~current () =
               ratio = None;
               baseline_words = None;
               current_words = Some c.Measure.minor_words_per_op;
-              domains = c.Measure.domains;
-              scaling = c.Measure.scaling_efficiency;
               verdict = New;
             }
         | None, None -> assert false)
@@ -165,50 +138,7 @@ let diff ?(threshold = default_threshold) ?host_cores ~baseline ~current () =
         | Ok_ | Improved | New -> [])
       rows
   in
-  (* The scaling gate inspects the current run only (including New
-     targets — a fresh dN probe must clear the floor before it ever
-     reaches a baseline), and only when the host demonstrably has the
-     cores to parallelize onto: a 2-core CI runner asked for 4 domains
-     measures scheduler contention, not the engine. *)
-  let scaling_failures, notes =
-    List.fold_left
-      (fun (fails, notes) row ->
-        if Option.is_none row.current_ops || row.domains < 2 then (fails, notes)
-        else
-          match host_cores with
-          | None ->
-              ( fails,
-                Printf.sprintf
-                  "%s: scaling/throughput gates skipped (current run has no \
-                   host_cores)"
-                  row.name
-                :: notes )
-          | Some hc when hc < row.domains ->
-              ( fails,
-                Printf.sprintf
-                  "%s: scaling/throughput gates skipped (host has %d cores < \
-                   %d domains)"
-                  row.name hc row.domains
-                :: notes )
-          | Some hc -> (
-              match row.scaling with
-              | None ->
-                  ( Printf.sprintf
-                      "%s: %d-domain target carries no scaling_efficiency"
-                      row.name row.domains
-                    :: fails,
-                    notes )
-              | Some e when e < scaling_floor ->
-                  ( Printf.sprintf
-                      "%s: scaling efficiency %.3f below floor %.3f (%d \
-                       domains on %d cores)"
-                      row.name e scaling_floor row.domains hc
-                    :: fails,
-                    notes )
-              | Some _ -> (fails, notes)))
-      ([], []) rows
-  in
-  { rows; failures = failures @ List.rev scaling_failures; notes = List.rev notes }
+  { rows; failures }
 
 let passed outcome = List.is_empty outcome.failures
 
@@ -227,21 +157,12 @@ let pp_row fmt row =
     | Some r -> Printf.sprintf "%+6.1f%%" (100.0 *. (r -. 1.0))
     | None -> "      -")
     (words row.baseline_words) (words row.current_words)
-    (verdict_label row.verdict);
-  if row.domains > 1 then begin
-    Format.fprintf fmt " (%dd" row.domains;
-    (match row.scaling with
-    | Some e -> Format.fprintf fmt " eff=%.2f" e
-    | None -> ());
-    Format.fprintf fmt ")"
-  end
+    (verdict_label row.verdict)
 
 let pp fmt outcome =
   Format.fprintf fmt "%-16s %14s %14s  %7s %9s %9s  verdict@." "target"
     "baseline op/s" "current op/s" "delta" "base w/op" "cur w/op";
   List.iter (fun row -> Format.fprintf fmt "%a@." pp_row row) outcome.rows;
-  List.iter (fun msg -> Format.fprintf fmt "compare: note %s@." msg)
-    outcome.notes;
   if passed outcome then Format.fprintf fmt "compare: PASS@."
   else begin
     List.iter

@@ -4,8 +4,8 @@
     A target fails when its current ops/sec is more than [threshold]
     (default 0.15) below baseline, when its minor-words-per-op exceeds
     baseline * (1 + threshold) + {!alloc_slack}, or when it vanished
-    from the current run.  Targets new in the current run pass with a
-    note. *)
+    from the current run.  Targets new in the current run pass with
+    verdict {!New}. *)
 
 val default_threshold : float
 
@@ -13,16 +13,6 @@ val alloc_slack : float
 (** Absolute minor-words-per-op headroom on top of the relative
     threshold, so allocation-free baselines (~0 words/op) tolerate
     measurement noise but still fail on the first real boxed value. *)
-
-val scaling_floor : float
-(** Minimum {!Measure.result.scaling_efficiency} for multi-domain
-    targets: 0.625, i.e. 2.5x ops/sec at 4 domains.  Gated only when
-    the current run's [host_cores] is at least the target's domain
-    count — a core-starved runner measures the scheduler, not the
-    engine — and skipped rows surface as {!outcome.notes}.  The same
-    core-starvation rule exempts those rows from the ops/sec gate
-    (their wall clock is scheduler noise); their allocation, which is
-    deterministic, still gates. *)
 
 type verdict = Ok_ | Improved | Regressed | New | Missing
 
@@ -33,25 +23,18 @@ type row = {
   ratio : float option;  (** current / baseline *)
   baseline_words : float option;  (** minor words/op in the baseline *)
   current_words : float option;  (** minor words/op in the current run *)
-  domains : int;  (** from the current run when present, else baseline *)
-  scaling : float option;  (** current run's scaling_efficiency *)
   verdict : verdict;
 }
 
-type outcome = { rows : row list; failures : string list; notes : string list }
+type outcome = { rows : row list; failures : string list }
 
 val diff :
   ?threshold:float ->
-  ?host_cores:int ->
   baseline:Measure.result list ->
   current:Measure.result list ->
   unit ->
   outcome
-(** [host_cores] is the {e current} run's machine (see
-    {!Report.doc}); omitting it skips the scaling gate with a note per
-    multi-domain target.
-
-    @raise Invalid_argument if [threshold] is outside (0,1). *)
+(** @raise Invalid_argument if [threshold] is outside (0,1). *)
 
 val passed : outcome -> bool
 

@@ -15,11 +15,9 @@ type result = {
   alloc_bytes_per_op : float;
   minor_words_per_op : float;
   events_fired : int;
-  domains : int;
-  scaling_efficiency : float option;
 }
 
-let run ~name ?(warmup = 1) ?(domains = 1) ~reps ~ops_per_rep
+let run ~name ?(warmup = 1) ~reps ~ops_per_rep
     ?(events = fun () -> 0) f =
   if reps <= 0 then invalid_arg "Measure.run: reps must be positive";
   if ops_per_rep <= 0 then invalid_arg "Measure.run: ops_per_rep must be positive";
@@ -58,18 +56,10 @@ let run ~name ?(warmup = 1) ?(domains = 1) ~reps ~ops_per_rep
        natively (alloc_bytes also folds in major allocation). *)
     minor_words_per_op = !total_minor /. reps_f /. ops;
     events_fired = events ();
-    domains;
-    scaling_efficiency = None;
   }
-
-let with_scaling r ~efficiency = { r with scaling_efficiency = Some efficiency }
 
 let pp_row fmt r =
   Format.fprintf fmt "%-16s %12.0f ops/s %10.1f ns/op %10.1f B/op %9.2f w/op"
     r.name r.ops_per_sec r.ns_per_op r.alloc_bytes_per_op
     r.minor_words_per_op;
-  if r.events_fired > 0 then Format.fprintf fmt " %10d events" r.events_fired;
-  if r.domains > 1 then Format.fprintf fmt " %3dd" r.domains;
-  match r.scaling_efficiency with
-  | Some e -> Format.fprintf fmt " eff=%.2f" e
-  | None -> ()
+  if r.events_fired > 0 then Format.fprintf fmt " %10d events" r.events_fired

@@ -11,49 +11,41 @@
           the multicore probes (packet-replay-dN) can carry their
           parallel-speedup measurement and Compare can gate it only on
           machines with enough cores for the gate to mean anything
+     4 — drops per-benchmark domains / scaling_efficiency with the
+          multicore probes they described; host_cores stays as a plain
+          record of the measuring machine
 
    Readers reject any other version outright: a silent best-effort
    parse of a future schema would turn the regression gate into noise. *)
 
-let schema_version = 3
+let schema_version = 4
 
 let suite = "lazyctrl-bench"
 
-type doc = { host_cores : int; results : Measure.result list }
-
-let detected_host_cores () = Domain.recommended_domain_count ()
-
-let to_json ?host_cores (results : Measure.result list) =
-  let host_cores =
-    match host_cores with Some c -> c | None -> detected_host_cores ()
-  in
+let to_json (results : Measure.result list) =
   Json.Obj
     [
       ("schema_version", Json.Num (float_of_int schema_version));
       ("suite", Json.Str suite);
-      ("host_cores", Json.Num (float_of_int host_cores));
+      ( "host_cores",
+        Json.Num (float_of_int (Domain.recommended_domain_count ())) );
       ( "benchmarks",
         Json.List
           (List.map
              (fun (r : Measure.result) ->
                Json.Obj
-                 ([
-                    ("name", Json.Str r.name);
-                    ("ops_per_sec", Json.Num r.ops_per_sec);
-                    ("ns_per_op", Json.Num r.ns_per_op);
-                    ("alloc_bytes_per_op", Json.Num r.alloc_bytes_per_op);
-                    ("minor_words_per_op", Json.Num r.minor_words_per_op);
-                    ("events_fired", Json.Num (float_of_int r.events_fired));
-                    ("domains", Json.Num (float_of_int r.domains));
-                  ]
-                 @
-                 match r.scaling_efficiency with
-                 | Some e -> [ ("scaling_efficiency", Json.Num e) ]
-                 | None -> []))
+                 [
+                   ("name", Json.Str r.name);
+                   ("ops_per_sec", Json.Num r.ops_per_sec);
+                   ("ns_per_op", Json.Num r.ns_per_op);
+                   ("alloc_bytes_per_op", Json.Num r.alloc_bytes_per_op);
+                   ("minor_words_per_op", Json.Num r.minor_words_per_op);
+                   ("events_fired", Json.Num (float_of_int r.events_fired));
+                 ])
              results) );
     ]
 
-let to_string ?host_cores results = Json.to_string (to_json ?host_cores results)
+let to_string results = Json.to_string (to_json results)
 
 let ( let* ) = Result.bind
 
@@ -71,10 +63,6 @@ let decode_benchmark obj =
       let* alloc_bytes_per_op = field_float "alloc_bytes_per_op" obj in
       let* minor_words_per_op = field_float "minor_words_per_op" obj in
       let* events_fired = field_float "events_fired" obj in
-      let* domains = field_float "domains" obj in
-      let scaling_efficiency =
-        Option.bind (Json.member "scaling_efficiency" obj) Json.to_float
-      in
       Ok
         {
           Measure.name;
@@ -83,18 +71,15 @@ let decode_benchmark obj =
           alloc_bytes_per_op;
           minor_words_per_op;
           events_fired = int_of_float events_fired;
-          domains = int_of_float domains;
-          scaling_efficiency;
         }
 
-let doc_of_json json =
+let of_json json =
   let* version = field_float "schema_version" json in
   if int_of_float version <> schema_version then
     Error
       (Printf.sprintf "unsupported schema_version %g (this reader knows %d)"
          version schema_version)
   else
-    let* host_cores = field_float "host_cores" json in
     match Option.bind (Json.member "benchmarks" json) Json.to_list with
     | None -> Error "missing \"benchmarks\" array"
     | Some entries ->
@@ -104,25 +89,18 @@ let doc_of_json json =
             let* r = decode_benchmark entry in
             Ok (r :: acc))
           (Ok []) entries
-        |> Result.map (fun rev ->
-               { host_cores = int_of_float host_cores; results = List.rev rev })
+        |> Result.map List.rev
 
-let doc_of_string s =
+let of_string s =
   let* json = Json.of_string s in
-  doc_of_json json
+  of_json json
 
-let of_string s = Result.map (fun d -> d.results) (doc_of_string s)
-
-let load_doc path =
+let load path =
   match In_channel.with_open_text path In_channel.input_all with
-  | contents -> (
-      match doc_of_string contents with
-      | Ok doc -> Ok doc
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+  | contents ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (of_string contents)
   | exception Sys_error msg -> Error msg
 
-let load path = Result.map (fun d -> d.results) (load_doc path)
-
-let save ?host_cores path results =
+let save path results =
   Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string ?host_cores results))
+      Out_channel.output_string oc (to_string results))

@@ -1,9 +1,9 @@
 (** Schema-versioned serialization of bench results
     ([BENCH_lazyctrl.json]).
 
-    Schema v3:
+    Schema v4:
     {v
-    { "schema_version": 3,
+    { "schema_version": 4,
       "suite": "lazyctrl-bench",
       "host_cores": 4,
       "benchmarks": [
@@ -12,41 +12,22 @@
           "ns_per_op": 100.0,
           "alloc_bytes_per_op": 0.0,
           "minor_words_per_op": 0.0,
-          "events_fired": 400000,
-          "domains": 1 },
-        { "name": "packet-replay-d4",
-          "...": "...",
-          "domains": 4,
-          "scaling_efficiency": 0.71 } ] }
+          "events_fired": 400000 } ] }
     v}
 
-    [host_cores] records the machine the run happened on so the
-    scaling gate ({!Compare}) can tell a parallelism regression from a
-    core-starved runner.  [scaling_efficiency] appears only on
-    multi-domain targets.
+    [host_cores] ([Domain.recommended_domain_count ()]) records the
+    machine the run happened on; no gate reads it.
 
     Readers reject unknown versions rather than best-effort parsing
     them — the compare gate must never pass on misread numbers. *)
 
 val schema_version : int
 
-type doc = { host_cores : int; results : Measure.result list }
-
-val detected_host_cores : unit -> int
-(** [Domain.recommended_domain_count ()] — what {!save} stamps into
-    the report when the caller does not override it. *)
-
-val to_string : ?host_cores:int -> Measure.result list -> string
-(** [host_cores] defaults to [Domain.recommended_domain_count ()]. *)
+val to_string : Measure.result list -> string
 
 val of_string : string -> (Measure.result list, string) result
-
-val doc_of_string : string -> (doc, string) result
-(** Like {!of_string} but keeps the top-level [host_cores]. *)
 
 val load : string -> (Measure.result list, string) result
 (** Read and decode a report file; [Error] includes the path. *)
 
-val load_doc : string -> (doc, string) result
-
-val save : ?host_cores:int -> string -> Measure.result list -> unit
+val save : string -> Measure.result list -> unit

@@ -284,16 +284,3 @@ let run ?until t =
       if Time.(t.clock < horizon) then t.clock <- horizon
 
 let events_processed t = t.fired
-
-(* Direct recursion over cancelled tombstones, same as [step]. *)
-let rec next_time t =
-  if Flat.is_empty t.heap then None
-  else begin
-    let slot = Flat.min_payload t.heap in
-    if t.s_state.(slot) = st_cancelled then begin
-      Flat.remove_min t.heap;
-      free_slot t slot;
-      next_time t
-    end
-    else Some (Time.of_ns (Flat.min_time t.heap))
-  end

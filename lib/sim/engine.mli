@@ -39,8 +39,3 @@ val run : ?until:Time.t -> t -> unit
 
 val events_processed : t -> int
 (** Total events fired since creation (for sanity checks and tests). *)
-
-val next_time : t -> Time.t option
-(** Time of the earliest live event, or [None] when the queue is empty.
-    Does not fire anything or move the clock; {!Shard_engine} uses it to
-    skip idle synchronization windows. *)

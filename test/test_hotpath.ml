@@ -496,8 +496,8 @@ let repo_gate_tests =
   [
     Alcotest.test_case "the repo has zero unallowlisted H findings" `Quick
       (fun () ->
-        (* The acceptance gate, mirroring the S00x one: every H finding
-           in the shipped tree is fixed or carries a justification. *)
+        (* The acceptance gate: every H finding in the shipped tree is
+           fixed or carries a justification. *)
         if repo_available () then
           let report =
             Driver.run ~families:[ "H" ] ~root:repo_root
@@ -679,7 +679,6 @@ let family_rules =
     ("E", "E001-indirect-random");
     ("L", "L001-layering");
     ("X", "X001-dead-export");
-    ("S", "S001-shared-mutable");
     ("H", "H001-hot-alloc");
   ]
 

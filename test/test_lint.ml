@@ -646,303 +646,6 @@ let driver_tests =
               (List.length x_only.Driver.stale)));
   ]
 
-(* --- S00x: domain safety ----------------------------------------------------- *)
-
-let has_substring hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i =
-    i + ln <= lh
-    && (String.equal (String.sub hay i ln) needle || go (i + 1))
-  in
-  go 0
-
-let srule path cls why = { Ownership.path; cls; why }
-let sentry e_id e_shard e_phase = { Ownership.e_id; e_shard; e_phase }
-
-let shard_check ~spec files =
-  let cg = Callgraph.build ~files ~aux:[] in
-  Shard.check ~spec ~cg ~structures:files ()
-
-(* Two shards' run loops both reaching one mutating def in a shard-local
-   module; the crossing-annotated variant of the same spec is the fix. *)
-let s001_files () =
-  [
-    parse_file "lib/st/state.ml"
-      "let tbl = Hashtbl.create 7\nlet bump k = Hashtbl.replace tbl k 1";
-    parse_file "lib/sw/a.ml" "let handle x = Lazyctrl_st.State.bump x";
-    parse_file "lib/cn/b.ml" "let handle x = Lazyctrl_st.State.bump x";
-  ]
-
-let s001_entries =
-  [
-    sentry "Lazyctrl_sw.A.handle" "shard-a" Ownership.Run;
-    sentry "Lazyctrl_cn.B.handle" "shard-b" Ownership.Run;
-  ]
-
-let ownership_tests =
-  [
-    Alcotest.test_case "default spec round-trips through text" `Quick
-      (fun () ->
-        match Ownership.parse (Ownership.to_string Ownership.default) with
-        | Error msg -> Alcotest.failf "default spec did not parse: %s" msg
-        | Ok spec ->
-            Alcotest.(check string) "parse . to_string = id"
-              (Ownership.to_string Ownership.default)
-              (Ownership.to_string spec));
-    Alcotest.test_case "default spec validates clean" `Quick (fun () ->
-        Alcotest.(check (list string)) "no defects" []
-          (Ownership.validate Ownership.default));
-    Alcotest.test_case "file rule beats directory rule" `Quick (fun () ->
-        (* flow_table.ml is carved out of the shard-crossing openflow dir *)
-        match
-          Ownership.class_of Ownership.default
-            ~file:"lib/openflow/flow_table.ml"
-        with
-        | Some (Ownership.Shard_local, _) -> ()
-        | _ -> Alcotest.fail "expected the file carve-out to win");
-    Alcotest.test_case "directory rule classifies members" `Quick (fun () ->
-        match
-          Ownership.class_of Ownership.default ~file:"lib/openflow/channel.ml"
-        with
-        | Some (Ownership.Shard_crossing, Some _) -> ()
-        | _ -> Alcotest.fail "expected a justified crossing");
-    Alcotest.test_case "unclassified file stays out of scope" `Quick
-      (fun () ->
-        Alcotest.(check bool) "bench is unowned" true
-          (Option.is_none
-             (Ownership.class_of Ownership.default ~file:"bench/main.ml")));
-    Alcotest.test_case "run entries cover every declared shard" `Quick
-      (fun () ->
-        Alcotest.(check int) "ten run-phase entry points" 10
-          (List.length (Ownership.run_entries Ownership.default)));
-    Alcotest.test_case "crossing without a why is a defect" `Quick (fun () ->
-        let spec =
-          {
-            Ownership.rules = [ srule "lib/x/" Ownership.Shard_crossing None ];
-            entries = s001_entries;
-          }
-        in
-        Alcotest.(check int) "one defect" 1
-          (List.length (Ownership.validate spec)));
-    Alcotest.test_case "unknown class rejected by the parser" `Quick
-      (fun () ->
-        match Ownership.parse "module lib/x/ shared-ish\n" with
-        | Error _ -> ()
-        | Ok _ -> Alcotest.fail "expected a parse error");
-  ]
-
-let mutinv_tests =
-  [
-    Alcotest.test_case "inventory catches every declaration form" `Quick
-      (fun () ->
-        let _, s =
-          parse_file "lib/st/inv.ml"
-            "type t = { mutable count : int }\n\
-             let cell = ref 0\n\
-             let tbl = Hashtbl.create 7\n\
-             let buf = Bytes.create 16\n\
-             let touch t = t.count <- 1; incr cell"
-        in
-        let items = Mutinv.scan ~file:"lib/st/inv.ml" s in
-        let kinds k =
-          List.length
-            (List.filter (fun (i : Mutinv.item) -> i.Mutinv.m_kind == k) items)
-        in
-        Alcotest.(check int) "one mutable field" 1 (kinds Mutinv.Mutable_field);
-        Alcotest.(check int) "one ref cell" 1 (kinds Mutinv.Ref_cell);
-        Alcotest.(check int) "one hash table" 1 (kinds Mutinv.Hash_table);
-        Alcotest.(check int) "one flat array" 1 (kinds Mutinv.Flat_array);
-        Alcotest.(check int) "two stores" 2 (kinds Mutinv.Store);
-        Alcotest.(check int) "three top-level bindings" 3
-          (kinds Mutinv.Toplevel_state);
-        Alcotest.(check bool) "declared drops the stores" true
-          (List.for_all
-             (fun (i : Mutinv.item) ->
-               not (i.Mutinv.m_kind == Mutinv.Store))
-             (Mutinv.declared items)));
-  ]
-
-let shard_tests =
-  [
-    Alcotest.test_case "S001 fires on state two shards reach" `Quick
-      (fun () ->
-        let spec =
-          {
-            Ownership.rules =
-              [
-                srule "lib/st/" Ownership.Shard_local None;
-                srule "lib/sw/" Ownership.Shard_local None;
-                srule "lib/cn/" Ownership.Shard_local None;
-              ];
-            entries = s001_entries;
-          }
-        in
-        let fs = shard_check ~spec (s001_files ()) in
-        Alcotest.(check bool) "S001 on lib/st/state.ml" true
-          (List.exists
-             (fun (f : Finding.t) ->
-               String.equal f.rule Rules.s_shared_mutable
-               && String.equal f.file "lib/st/state.ml")
-             fs);
-        (* the witness names both shards' chains *)
-        Alcotest.(check bool) "witness carries both chains" true
-          (List.exists
-             (fun (f : Finding.t) ->
-               String.equal f.rule Rules.s_shared_mutable
-               && has_substring f.message "[shard-a] A.handle"
-               && has_substring f.message "[shard-b] B.handle")
-             fs));
-    Alcotest.test_case "declared crossing silences S001" `Quick (fun () ->
-        let spec =
-          {
-            Ownership.rules =
-              [
-                srule "lib/st/" Ownership.Shard_crossing
-                  (Some "updates serialized through the channel layer");
-                srule "lib/sw/" Ownership.Shard_local None;
-                srule "lib/cn/" Ownership.Shard_local None;
-              ];
-            entries = s001_entries;
-          }
-        in
-        Alcotest.(check bool) "no S001" false
-          (has Rules.s_shared_mutable (shard_check ~spec (s001_files ()))));
-    Alcotest.test_case "one shard alone owns its state" `Quick (fun () ->
-        let spec =
-          {
-            Ownership.rules =
-              [
-                srule "lib/st/" Ownership.Shard_local None;
-                srule "lib/sw/" Ownership.Shard_local None;
-              ];
-            entries = [ sentry "Lazyctrl_sw.A.handle" "shard-a" Ownership.Run ];
-          }
-        in
-        let files =
-          [
-            parse_file "lib/st/state.ml"
-              "let tbl = Hashtbl.create 7\n\
-               let bump k = Hashtbl.replace tbl k 1";
-            parse_file "lib/sw/a.ml" "let handle x = Lazyctrl_st.State.bump x";
-          ]
-        in
-        Alcotest.(check bool) "no S001" false
-          (has Rules.s_shared_mutable (shard_check ~spec files)));
-    Alcotest.test_case "S002 fires on a mutating closure escaping" `Quick
-      (fun () ->
-        let spec =
-          {
-            Ownership.rules = [ srule "lib/sw/" Ownership.Shard_local None ];
-            entries = [ sentry "Lazyctrl_sw.C.go" "shard-a" Ownership.Run ];
-          }
-        in
-        let files =
-          [
-            parse_file "lib/sw/c.ml"
-              "let go eng r = Engine.schedule eng 5 (fun () -> r := 1)";
-          ]
-        in
-        Alcotest.(check bool) "S002 reported" true
-          (has Rules.s_closure_escape (shard_check ~spec files)));
-    Alcotest.test_case "pure closure on the queue stays quiet" `Quick
-      (fun () ->
-        let spec =
-          {
-            Ownership.rules = [ srule "lib/sw/" Ownership.Shard_local None ];
-            entries = [ sentry "Lazyctrl_sw.C.go" "shard-a" Ownership.Run ];
-          }
-        in
-        let files =
-          [
-            parse_file "lib/sw/c.ml"
-              "let go eng f = Engine.schedule eng 5 (fun () -> ignore f)";
-          ]
-        in
-        Alcotest.(check bool) "no S002" false
-          (has Rules.s_closure_escape (shard_check ~spec files)));
-    Alcotest.test_case "S003 fires on a run-loop write to frozen state"
-      `Quick (fun () ->
-        let spec =
-          {
-            Ownership.rules =
-              [
-                srule "lib/ro/" Ownership.Read_only_after_init None;
-                srule "lib/sw/" Ownership.Shard_local None;
-              ];
-            entries = [ sentry "Lazyctrl_sw.D.handle" "shard-a" Ownership.Run ];
-          }
-        in
-        let files =
-          [
-            parse_file "lib/ro/t.ml"
-              "type t = { mutable v : int }\nlet set t = t.v <- 1";
-            parse_file "lib/sw/d.ml" "let handle t = Lazyctrl_ro.T.set t";
-          ]
-        in
-        let fs = shard_check ~spec files in
-        Alcotest.(check bool) "S003 on lib/ro/t.ml" true
-          (List.exists
-             (fun (f : Finding.t) ->
-               String.equal f.rule Rules.s_init_write
-               && String.equal f.file "lib/ro/t.ml")
-             fs));
-    Alcotest.test_case "setup-phase writes to frozen state are fine" `Quick
-      (fun () ->
-        let spec =
-          {
-            Ownership.rules =
-              [
-                srule "lib/ro/" Ownership.Read_only_after_init None;
-                srule "lib/sw/" Ownership.Shard_local None;
-              ];
-            entries =
-              [
-                sentry "Lazyctrl_sw.D.build" "setup" Ownership.Init;
-                sentry "Lazyctrl_sw.D.handle" "shard-a" Ownership.Run;
-              ];
-          }
-        in
-        let files =
-          [
-            parse_file "lib/ro/t.ml"
-              "type t = { mutable v : int }\nlet set t = t.v <- 1";
-            parse_file "lib/sw/d.ml"
-              "let build t = Lazyctrl_ro.T.set t\nlet handle t = ignore t";
-          ]
-        in
-        Alcotest.(check bool) "no S003" false
-          (has Rules.s_init_write (shard_check ~spec files)));
-    Alcotest.test_case "S000 flags an entry that resolves nowhere" `Quick
-      (fun () ->
-        let spec =
-          {
-            Ownership.rules = [ srule "lib/sw/" Ownership.Shard_local None ];
-            entries =
-              [
-                sentry "Lazyctrl_sw.A.handle" "shard-a" Ownership.Run;
-                sentry "Lazyctrl_gone.Nope.run" "shard-b" Ownership.Run;
-              ];
-          }
-        in
-        let files = [ parse_file "lib/sw/a.ml" "let handle x = x" ] in
-        Alcotest.(check bool) "S000 reported" true
-          (has Rules.s_spec (shard_check ~spec files)));
-    Alcotest.test_case "the real repo has zero unallowlisted S findings"
-      `Quick (fun () ->
-        (* The acceptance gate: every S finding in the shipped tree is
-           either fixed or carries a written justification. *)
-        let root = "../" in
-        if Sys.file_exists (Filename.concat root "lib/analysis/ownership.ml")
-        then
-          let report =
-            Driver.run ~families:[ "S" ] ~root
-              ~allow_path:(Filename.concat root ".lazyctrl-lint-allow")
-              ()
-          in
-          Alcotest.(check (list string)) "no gating S findings" []
-            (rules_of report.Driver.findings));
-  ]
-
 (* --- callgraph notes (unresolved constructs) --------------------------------- *)
 
 let callgraph_notes_tests =
@@ -1070,9 +773,6 @@ let () =
       ("E00x-effects", effects_tests);
       ("L00x-layering", layering_tests);
       ("X00x-deadcode", deadcode_tests);
-      ("ownership-spec", ownership_tests);
-      ("mutable-inventory", mutinv_tests);
-      ("S00x-domain-safety", shard_tests);
       ("callgraph-notes", callgraph_notes_tests);
       ("architecture-doc", architecture_doc_tests);
       ("driver", driver_tests);

@@ -159,6 +159,13 @@ let test_host_model_delivery_classification () =
   (* A duplicate (Bloom multicast) is classified as such. *)
   check Alcotest.bool "duplicate" true
     (Host_model.deliver hm ~to_:h2 data = Host_model.Data_duplicate);
+  (* So is a frame whose port fields carry a flow id never issued. *)
+  let never_issued =
+    Packet.data ~src:h1 ~dst:h2 ~src_port:7 ~dst_port:0 ~length:64 ()
+  in
+  check Alcotest.bool "never-issued id" true
+    (Host_model.deliver hm ~to_:h2 never_issued = Host_model.Data_duplicate);
+  check Alcotest.int "delivered once" 1 (Host_model.flows_delivered hm);
   (* A frame for someone else is ignored. *)
   let h3 = Host.make ~id:(hid 3) ~tenant:(tid 0) in
   check Alcotest.bool "not for host" true

@@ -13,8 +13,7 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let mk ?(events = 0) ?(alloc = 0.) ?(words = 0.) ?(domains = 1) ?scaling name
-    ops =
+let mk ?(events = 0) ?(alloc = 0.) ?(words = 0.) name ops =
   {
     Measure.name;
     ops_per_sec = ops;
@@ -22,8 +21,6 @@ let mk ?(events = 0) ?(alloc = 0.) ?(words = 0.) ?(domains = 1) ?scaling name
     alloc_bytes_per_op = alloc;
     minor_words_per_op = words;
     events_fired = events;
-    domains;
-    scaling_efficiency = scaling;
   }
 
 (* --- Measure ----------------------------------------------------------- *)
@@ -72,7 +69,10 @@ let test_report_roundtrip () =
       mk ~alloc:0.5 ~words:1.65 "lfib-lookup" 2.37e7;
     ]
   in
-  match Report.of_string (Report.to_string rs) with
+  let json = Report.to_string rs in
+  check Alcotest.bool "records the measuring host" true
+    (contains json "\"host_cores\"");
+  match Report.of_string json with
   | Error e -> Alcotest.failf "roundtrip failed: %s" e
   | Ok back ->
       check Alcotest.int "same count" (List.length rs) (List.length back);
@@ -234,77 +234,6 @@ let test_compare_pp () =
   let s = Format.asprintf "%a" Compare.pp_row row in
   check Alcotest.bool "row names target" true (contains s row.Compare.name)
 
-(* --- schema v3: domains / scaling_efficiency / host_cores ------------- *)
-
-let test_report_v3_fields () =
-  let rs =
-    [
-      mk "packet-replay-d1" 1e5;
-      mk ~domains:4 ~scaling:0.71 "packet-replay-d4" 2.84e5;
-    ]
-  in
-  match Report.doc_of_string (Report.to_string ~host_cores:8 rs) with
-  | Error e -> Alcotest.failf "doc roundtrip failed: %s" e
-  | Ok doc -> (
-      check Alcotest.int "host_cores survives" 8 doc.Report.host_cores;
-      match doc.Report.results with
-      | [ d1; d4 ] ->
-          check Alcotest.int "d1 domains" 1 d1.Measure.domains;
-          check Alcotest.bool "d1 no efficiency" true
-            (d1.Measure.scaling_efficiency = None);
-          check Alcotest.int "d4 domains" 4 d4.Measure.domains;
-          check (Alcotest.float 1e-9) "d4 efficiency" 0.71
-            (Option.get d4.Measure.scaling_efficiency)
-      | _ -> Alcotest.fail "wrong benchmark count")
-
-let test_compare_scaling_gate () =
-  let floor = Compare.scaling_floor in
-  check (Alcotest.float 1e-12) "floor is 2.5x at 4 domains" (2.5 /. 4.) floor;
-  let d1 = mk "replay-d1" 1e5 in
-  let good = [ d1; mk ~domains:4 ~scaling:(floor +. 0.1) "replay-d4" 2.9e5 ] in
-  (* Same throughput as the baseline so only the efficiency dimension
-     can fail — the scaling gate judges the current run, not the diff. *)
-  let bad = [ d1; mk ~domains:4 ~scaling:(floor -. 0.1) "replay-d4" 2.9e5 ] in
-  let o = Compare.diff ~host_cores:8 ~baseline:good ~current:good () in
-  check Alcotest.bool "above floor passes" true (Compare.passed o);
-  check (Alcotest.list Alcotest.string) "no skip notes on a big host" []
-    o.Compare.notes;
-  let o = Compare.diff ~host_cores:8 ~baseline:good ~current:bad () in
-  check Alcotest.bool "below floor fails" false (Compare.passed o);
-  check Alcotest.bool "failure names the floor" true
-    (List.exists (fun m -> contains m "below floor") o.Compare.failures);
-  (* Same sub-floor run on a 2-core host: the gate must stand down. *)
-  let o = Compare.diff ~host_cores:2 ~baseline:good ~current:bad () in
-  check Alcotest.bool "core-starved host skips the gate" true
-    (Compare.passed o);
-  check Alcotest.bool "skip is noted" true
-    (List.exists (fun m -> contains m "2 cores < 4 domains") o.Compare.notes);
-  (* Core starvation also exempts the throughput gate (wall clock is
-     scheduler noise there) — but not on a host with enough cores. *)
-  let slow = [ d1; mk ~domains:4 ~scaling:(floor +. 0.1) "replay-d4" 1.0e5 ] in
-  let o = Compare.diff ~host_cores:2 ~baseline:good ~current:slow () in
-  check Alcotest.bool "starved throughput drop tolerated" true
-    (Compare.passed o);
-  let o = Compare.diff ~host_cores:8 ~baseline:good ~current:slow () in
-  check Alcotest.bool "same drop fails on a big host" false (Compare.passed o);
-  (* No host_cores at all (legacy caller): skip with a note too. *)
-  let o = Compare.diff ~baseline:good ~current:bad () in
-  check Alcotest.bool "unknown host skips the gate" true (Compare.passed o);
-  check Alcotest.bool "unknown-host note" true
-    (List.exists (fun m -> contains m "no host_cores") o.Compare.notes);
-  (* A multi-domain target that lost its efficiency field is a failure,
-     not a silent skip — that is how the probe wiring would break. *)
-  let o =
-    Compare.diff ~host_cores:8 ~baseline:good
-      ~current:[ d1; mk ~domains:4 "replay-d4" 2.9e5 ]
-      ()
-  in
-  check Alcotest.bool "missing efficiency fails" false (Compare.passed o);
-  check Alcotest.bool "missing-efficiency message" true
-    (List.exists
-       (fun m -> contains m "no scaling_efficiency")
-       o.Compare.failures)
-
 let () =
   Alcotest.run "perf"
     [
@@ -319,8 +248,6 @@ let () =
           Alcotest.test_case "bad version rejected" `Quick
             test_report_rejects_bad_version;
           Alcotest.test_case "save/load" `Quick test_report_save_load;
-          Alcotest.test_case "v3 domains/host_cores" `Quick
-            test_report_v3_fields;
         ] );
       ( "compare",
         [
@@ -334,6 +261,5 @@ let () =
           Alcotest.test_case "threshold validation" `Quick
             test_compare_threshold_validation;
           Alcotest.test_case "pretty printers" `Quick test_compare_pp;
-          Alcotest.test_case "scaling gate" `Quick test_compare_scaling_gate;
         ] );
     ]
