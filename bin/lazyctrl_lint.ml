@@ -15,6 +15,141 @@ let usage =
 
 type format = Text | Json | Sarif
 
+open Lazyctrl_analysis
+module Json = Lazyctrl_util.Json
+
+(* --- JSON and SARIF rendering --------------------------------------------- *)
+
+let finding_json (f : Finding.t) =
+  Json.Obj
+    [
+      ("file", Json.String f.file);
+      ("line", Json.Int f.line);
+      ("col", Json.Int f.col);
+      ("rule", Json.String f.rule);
+      ("severity", Json.String (Finding.severity_string f.severity));
+      ("message", Json.String f.message);
+    ]
+
+let findings_json findings = Json.List (List.map finding_json findings)
+
+let report_json (r : Driver.report) =
+  Json.Obj
+    [
+      ("findings", findings_json r.findings);
+      ("suppressed", findings_json r.suppressed);
+      ("stale_allowlist", findings_json r.stale);
+      ( "callgraph_notes",
+        Json.List
+          (List.map
+             (fun (file, note) ->
+               Json.Obj [ ("file", Json.String file); ("note", Json.String note) ])
+             r.callgraph_notes) );
+      ( "parse_failures",
+        Json.List (List.map (fun (file, _) -> Json.String file) r.parse_failures)
+      );
+      ("files_scanned", Json.Int r.files_scanned);
+      ("clean", Json.Bool (Driver.clean r));
+    ]
+
+(* The static verdict per probe next to its committed budget and the
+   measured minor-words-per-op ([_build/hotpath-report.json]). *)
+let hotpath_json (r : Driver.hotpath_report) =
+  let words = function None -> Json.Null | Some w -> Json.Float w in
+  let probe (row : Hotbudget.row) =
+    let entries =
+      match
+        List.find_opt
+          (fun (p : Hotpath.probe_status) -> String.equal p.p_probe row.r_probe)
+          r.hp_probes
+      with
+      | Some p -> p.p_entries
+      | None -> []
+    in
+    Json.Obj
+      [
+        ("probe", Json.String row.r_probe);
+        ("entries", Json.List (List.map (fun e -> Json.String e) entries));
+        ("static_alloc_sites", Json.Int row.r_static_sites);
+        ("budget_words_per_op", words row.r_budget);
+        ("measured_words_per_op", words row.r_measured);
+        ("verdict", Json.String (Hotbudget.verdict_name row.r_verdict));
+      ]
+  in
+  Json.Obj
+    [
+      ("probes", Json.List (List.map probe r.hp_rows));
+      ("findings", findings_json r.hp_findings);
+      ("suppressed", findings_json r.hp_suppressed);
+      ("clean", Json.Bool (Driver.hotpath_clean r));
+    ]
+
+(* SARIF 2.1.0 for GitHub code scanning.  Only gating findings become
+   results: suppressed findings already carry their justification in the
+   allowlist, and stale entries are an allowlist-maintenance concern,
+   not a code finding. *)
+let sarif_json findings =
+  let text s = Json.Obj [ ("text", Json.String s) ] in
+  let rule (m : Sarif.meta) =
+    Json.Obj
+      [
+        ("id", Json.String m.m_id);
+        ("name", Json.String m.m_name);
+        ("shortDescription", text m.m_short);
+        ("fullDescription", text m.m_help);
+        ("help", text m.m_help);
+      ]
+  in
+  let result (f : Finding.t) =
+    let location =
+      Json.Obj
+        [
+          ( "artifactLocation",
+            Json.Obj
+              [ ("uri", Json.String f.file); ("uriBaseId", Json.String "SRCROOT") ]
+          );
+          ( "region",
+            Json.Obj
+              [
+                ("startLine", Json.Int (max 1 f.line));
+                ("startColumn", Json.Int (f.col + 1));
+              ] );
+        ]
+    in
+    Json.Obj
+      [
+        ("ruleId", Json.String f.rule);
+        ("level", Json.String (Finding.severity_string f.severity));
+        ("message", text f.message);
+        ("locations", Json.List [ Json.Obj [ ("physicalLocation", location) ] ]);
+      ]
+  in
+  Json.Obj
+    [
+      ("$schema", Json.String "https://json.schemastore.org/sarif-2.1.0.json");
+      ("version", Json.String "2.1.0");
+      ( "runs",
+        Json.List
+          [
+            Json.Obj
+              [
+                ( "tool",
+                  Json.Obj
+                    [
+                      ( "driver",
+                        Json.Obj
+                          [
+                            ("name", Json.String "lazyctrl-lint");
+                            ("rules", Json.List (List.map rule Sarif.catalog));
+                          ] );
+                    ] );
+                ("results", Json.List (List.map result findings));
+              ];
+          ] );
+    ]
+
+let print_json v = print_string (Json.to_string ~indent:2 v)
+
 let () =
   let root = ref "." in
   let allow = ref ".lazyctrl-lint-allow" in
@@ -46,9 +181,9 @@ let () =
     end;
     List.iter
       (fun f ->
-        if not (Lazyctrl_analysis.Rules.is_family f) then begin
+        if not (Rules.is_family f) then begin
           Printf.eprintf "unknown rule family '%s' (known: %s)\n" f
-            (String.concat "," Lazyctrl_analysis.Rules.families);
+            (String.concat "," Rules.families);
           exit 2
         end)
       fs;
@@ -96,7 +231,7 @@ let () =
       exit 2)
     usage;
   if !list_rules then begin
-    List.iter print_endline Lazyctrl_analysis.Rules.all;
+    List.iter print_endline Rules.all;
     exit 0
   end;
   let allow_path =
@@ -104,7 +239,6 @@ let () =
     else !allow
   in
   if !hotpath_report then begin
-    let open Lazyctrl_analysis in
     let measured =
       match !measured_file with
       | None -> []
@@ -125,17 +259,14 @@ let () =
         ~measured ()
     in
     (match !format with
-    | Sarif -> print_string (Sarif.of_findings r.Driver.hp_findings)
-    | Json | Text -> print_string (Driver.hotpath_report_json r));
+    | Sarif -> print_json (sarif_json r.Driver.hp_findings)
+    | Json | Text -> print_json (hotpath_json r));
     exit (if !check && not (Driver.hotpath_clean r) then 1 else 0)
   end;
-  let report =
-    Lazyctrl_analysis.Driver.run ?families:!families ~root:!root ~allow_path ()
-  in
-  let open Lazyctrl_analysis in
+  let report = Driver.run ?families:!families ~root:!root ~allow_path () in
   (match !format with
-  | Json -> print_string (Driver.report_to_json report)
-  | Sarif -> print_string (Sarif.of_report report)
+  | Json -> print_json (report_json report)
+  | Sarif -> print_json (sarif_json report.Driver.findings)
   | Text ->
       List.iter
         (fun f -> print_endline (Finding.to_string f))

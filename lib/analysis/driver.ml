@@ -279,43 +279,6 @@ let run ?(families = Rules.families) ~root ~allow_path () =
 
 let clean report = List.is_empty report.findings
 
-let report_to_json report =
-  let buf = Buffer.create 1024 in
-  let emit_list name findings tail =
-    Buffer.add_string buf (Printf.sprintf "\"%s\": [" name);
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "\n    ";
-        Buffer.add_string buf (Finding.to_json f))
-      findings;
-    Buffer.add_string buf "\n  ]";
-    Buffer.add_string buf tail
-  in
-  Buffer.add_string buf "{\n  ";
-  emit_list "findings" report.findings ",\n  ";
-  emit_list "suppressed" report.suppressed ",\n  ";
-  emit_list "stale_allowlist" report.stale ",\n  ";
-  Buffer.add_string buf "\"callgraph_notes\": [";
-  List.iteri
-    (fun i (file, note) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\"file\": \"%s\", \"note\": \"%s\"}"
-           (Finding.json_escape file) (Finding.json_escape note)))
-    report.callgraph_notes;
-  Buffer.add_string buf "\n  ],\n  \"parse_failures\": [";
-  List.iteri
-    (fun i (file, _) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    \"%s\"" (Finding.json_escape file)))
-    report.parse_failures;
-  Buffer.add_string buf
-    (Printf.sprintf "\n  ],\n  \"files_scanned\": %d,\n  \"clean\": %b\n}"
-       report.files_scanned (clean report));
-  Buffer.contents buf
-
 (* --- hotpath report --------------------------------------------------------- *)
 
 (* The `make lint-hotpath` gate (_build/hotpath-report.json): the static
@@ -394,54 +357,3 @@ let hotpath_check ~root ~allow_path ~budget_path ~measured () =
   }
 
 let hotpath_clean r = List.is_empty r.hp_findings
-
-let hotpath_report_json r =
-  let buf = Buffer.create 4096 in
-  let str s = Printf.sprintf "\"%s\"" (Finding.json_escape s) in
-  let opt_num = function
-    | None -> "null"
-    | Some v -> Printf.sprintf "%.4f" v
-  in
-  Buffer.add_string buf "{\n  \"probes\": [";
-  List.iteri
-    (fun i (row : Hotbudget.row) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let entries =
-        match
-          List.find_opt
-            (fun (p : Hotpath.probe_status) ->
-              String.equal p.Hotpath.p_probe row.Hotbudget.r_probe)
-            r.hp_probes
-        with
-        | Some p -> p.Hotpath.p_entries
-        | None -> []
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    {\"probe\": %s, \"entries\": [%s], \"static_alloc_sites\": \
-            %d, \"budget_words_per_op\": %s, \"measured_words_per_op\": %s, \
-            \"verdict\": %s}"
-           (str row.Hotbudget.r_probe)
-           (String.concat ", " (List.map str entries))
-           row.Hotbudget.r_static_sites
-           (opt_num row.Hotbudget.r_budget)
-           (opt_num row.Hotbudget.r_measured)
-           (str (Hotbudget.verdict_name row.Hotbudget.r_verdict))))
-    r.hp_rows;
-  let emit_list name findings tail =
-    Buffer.add_string buf (Printf.sprintf "\"%s\": [" name);
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "\n    ";
-        Buffer.add_string buf (Finding.to_json f))
-      findings;
-    Buffer.add_string buf "\n  ]";
-    Buffer.add_string buf tail
-  in
-  Buffer.add_string buf "\n  ],\n  ";
-  emit_list "findings" r.hp_findings ",\n  ";
-  emit_list "suppressed" r.hp_suppressed "";
-  Buffer.add_string buf
-    (Printf.sprintf ",\n  \"clean\": %b\n}\n" (hotpath_clean r));
-  Buffer.contents buf

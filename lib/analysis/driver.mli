@@ -34,8 +34,6 @@ val run :
 (** No gating findings. *)
 val clean : report -> bool
 
-val report_to_json : report -> string
-
 (** The H00x cross-validation report ([make lint-hotpath],
     [_build/hotpath-report.json]): the static verdict per probe next to
     its committed budget and the measured minor-words-per-op, findings
@@ -59,4 +57,3 @@ val hotpath_check :
   hotpath_report
 
 val hotpath_clean : hotpath_report -> bool
-val hotpath_report_json : hotpath_report -> string

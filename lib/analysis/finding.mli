@@ -25,7 +25,6 @@ val compare : t -> t -> int
 
 val to_string : t -> string
 
-(** Escape a string for embedding in a JSON literal. *)
-val json_escape : string -> string
-
-val to_json : t -> string
+(** ["error"] or ["warning"], as the text, JSON and SARIF reports
+    spell it. *)
+val severity_string : severity -> string

@@ -80,7 +80,7 @@ let parse content =
         match split_ws line with
         | [ probe; words ] -> (
             match float_of_string_opt words with
-            | Some w when w >= 0. ->
+            | Some w when Float.is_finite w && w >= 0. ->
                 entries := { e_probe = probe; e_words = w; e_line = lineno } :: !entries
             | _ ->
                 errs :=

@@ -30,8 +30,10 @@ let allowed_deps =
     ("net", []);
     (* The perf measurement layer sits outside the simulation: it may
        not see (or be seen by) any simulated component, so wall timing
-       can never leak into event ordering. *)
-    ("perf", []);
+       can never leak into event ordering.  Its one edge is to [util],
+       for the shared JSON codec: [util] holds only primitives, so no
+       simulated state is reachable through it. *)
+    ("perf", [ "util" ]);
     ("sim", [ "util" ]);
     ("graph", [ "util" ]);
     ("metrics", [ "util"; "sim" ]);

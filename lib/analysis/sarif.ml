@@ -1,17 +1,12 @@
-(* SARIF 2.1.0 serialization of lint findings, for GitHub code scanning.
-
-   Only gating findings become results: suppressed findings already
-   carry their justification in the allowlist, and stale entries are an
-   allowlist-maintenance concern, not a code finding.
+(* SARIF 2.1.0 rule metadata for lint findings, for GitHub code
+   scanning.  The lint binary renders the document; this catalog is
+   what it says about each rule.
 
    Every rule — in every family, uniformly — carries full metadata: a
    PascalCase name, a one-line shortDescription, and help text, so the
    code scanning UI can label and explain alerts without reaching back
    into README.  [catalog_complete] lets a test pin the invariant that a
    new rule id cannot land without its metadata. *)
-
-let tool_name = "lazyctrl-lint"
-let schema = "https://json.schemastore.org/sarif-2.1.0.json"
 
 type meta = {
   m_id : string;
@@ -225,47 +220,3 @@ let metadata_of rule =
 let catalog_complete () =
   List.length catalog = List.length Rules.all
   && List.for_all (fun r -> Option.is_some (metadata_of r)) Rules.all
-
-let level_of = function Finding.Error -> "error" | Finding.Warning -> "warning"
-
-let of_findings findings =
-  let buf = Buffer.create 4096 in
-  let str s = Printf.sprintf "\"%s\"" (Finding.json_escape s) in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"$schema\": %s,\n  \"version\": \"2.1.0\",\n  \"runs\": [\n    \
-        {\n      \"tool\": {\n        \"driver\": {\n          \"name\": %s,\n\
-       \          \"rules\": ["
-       (str schema) (str tool_name));
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n            {\"id\": %s, \"name\": %s, \"shortDescription\": \
-            {\"text\": %s}, \"fullDescription\": {\"text\": %s}, \"help\": \
-            {\"text\": %s}}"
-           (str m.m_id) (str m.m_name) (str m.m_short) (str m.m_help)
-           (str m.m_help)))
-    catalog;
-  Buffer.add_string buf "\n          ]\n        }\n      },\n      \"results\": [";
-  List.iteri
-    (fun i (f : Finding.t) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n        {\"ruleId\": %s, \"level\": %s, \"message\": {\"text\": \
-            %s}, \"locations\": [{\"physicalLocation\": \
-            {\"artifactLocation\": {\"uri\": %s, \"uriBaseId\": \
-            \"SRCROOT\"}, \"region\": {\"startLine\": %d, \"startColumn\": \
-            %d}}}]}"
-           (str f.rule)
-           (str (level_of f.severity))
-           (str f.message) (str f.file)
-           (max 1 f.line)
-           (f.col + 1)))
-    findings;
-  Buffer.add_string buf "\n      ]\n    }\n  ]\n}\n";
-  Buffer.contents buf
-
-let of_report (report : Driver.report) = of_findings report.Driver.findings

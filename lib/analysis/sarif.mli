@@ -1,8 +1,7 @@
-(** SARIF 2.1.0 serialization of lint findings, for GitHub code
-    scanning.  Gating findings only: suppressed findings carry their
-    justification in the allowlist, stale entries are an
-    allowlist-maintenance concern.  Every rule, in every family, carries
-    full metadata (name, short description, help text) uniformly. *)
+(** SARIF 2.1.0 rule metadata for lint findings, for GitHub code
+    scanning (the lint binary renders the document).  Every rule, in
+    every family, carries full metadata (name, short description, help
+    text) uniformly. *)
 
 type meta = {
   m_id : string;
@@ -19,9 +18,3 @@ val metadata_of : string -> meta option
 (** [catalog] covers exactly {!Rules.all} — pinned by a test so a new
     rule id cannot land without its SARIF metadata. *)
 val catalog_complete : unit -> bool
-
-(** A SARIF document for an arbitrary finding list (the hotpath report
-    mode uses this for its merged upload). *)
-val of_findings : Finding.t list -> string
-
-val of_report : Driver.report -> string

@@ -25,27 +25,26 @@ let suite = "lazyctrl-bench"
 let to_json (results : Measure.result list) =
   Json.Obj
     [
-      ("schema_version", Json.Num (float_of_int schema_version));
-      ("suite", Json.Str suite);
-      ( "host_cores",
-        Json.Num (float_of_int (Domain.recommended_domain_count ())) );
+      ("schema_version", Json.Int schema_version);
+      ("suite", Json.String suite);
+      ("host_cores", Json.Int (Domain.recommended_domain_count ()));
       ( "benchmarks",
         Json.List
           (List.map
              (fun (r : Measure.result) ->
                Json.Obj
                  [
-                   ("name", Json.Str r.name);
-                   ("ops_per_sec", Json.Num r.ops_per_sec);
-                   ("ns_per_op", Json.Num r.ns_per_op);
-                   ("alloc_bytes_per_op", Json.Num r.alloc_bytes_per_op);
-                   ("minor_words_per_op", Json.Num r.minor_words_per_op);
-                   ("events_fired", Json.Num (float_of_int r.events_fired));
+                   ("name", Json.String r.name);
+                   ("ops_per_sec", Json.Float r.ops_per_sec);
+                   ("ns_per_op", Json.Float r.ns_per_op);
+                   ("alloc_bytes_per_op", Json.Float r.alloc_bytes_per_op);
+                   ("minor_words_per_op", Json.Float r.minor_words_per_op);
+                   ("events_fired", Json.Int r.events_fired);
                  ])
              results) );
     ]
 
-let to_string results = Json.to_string (to_json results)
+let to_string results = Json.to_string ~indent:2 (to_json results)
 
 let ( let* ) = Result.bind
 

@@ -1,4 +1,5 @@
 module Time = Lazyctrl_sim.Time
+module Json = Lazyctrl_util.Json
 
 type span = { at : Time.t; sn : int }
 
@@ -140,57 +141,59 @@ let args_of_kind = function
   | Ingress | Flow_table_hit | Lfib_hit | Bloom_fp | Deliver | Arp_local
   | Arp_group | Arp_escalate | Ctrl_packet_in | Ctrl_arp_relay | Ctrl_flood ->
       []
-  | Gfib_probe n -> [ ("matches", Tjson.Int n) ]
-  | Punt reason -> [ ("reason", Tjson.String reason) ]
-  | Designated_relay what -> [ ("what", Tjson.String what) ]
-  | Ctrl_request req -> [ ("req", Tjson.String req) ]
-  | Ctrl_install target -> [ ("target", Tjson.Int target) ]
+  | Gfib_probe n -> [ ("matches", Json.Int n) ]
+  | Punt reason -> [ ("reason", Json.String reason) ]
+  | Designated_relay what -> [ ("what", Json.String what) ]
+  | Ctrl_request req -> [ ("req", Json.String req) ]
+  | Ctrl_install target -> [ ("target", Json.Int target) ]
   | Regroup r ->
-      [ ("full", Tjson.Bool r.full); ("groups", Tjson.Int r.groups) ]
+      [ ("full", Json.Bool r.full); ("groups", Json.Int r.groups) ]
   | Chaos_fault c ->
-      [ ("fault", Tjson.String c.fault); ("phase", Tjson.String c.phase) ]
-  | Failover verdict -> [ ("verdict", Tjson.String verdict) ]
-  | Retransmit session -> [ ("session", Tjson.String session) ]
-  | Reliable_giveup session -> [ ("session", Tjson.String session) ]
+      [ ("fault", Json.String c.fault); ("phase", Json.String c.phase) ]
+  | Failover verdict -> [ ("verdict", Json.String verdict) ]
+  | Retransmit session -> [ ("session", Json.String session) ]
+  | Reliable_giveup session -> [ ("session", Json.String session) ]
 
 let to_json e =
-  let opt_int = function None -> Tjson.Null | Some n -> Tjson.Int n in
+  let opt_int = function None -> Json.Null | Some n -> Json.Int n in
   let parent =
     match e.parent with
-    | None -> Tjson.Null
-    | Some s -> Tjson.List [ Tjson.Int (Time.to_ns s.at); Tjson.Int s.sn ]
+    | None -> Json.Null
+    | Some s -> Json.List [ Json.Int (Time.to_ns s.at); Json.Int s.sn ]
   in
-  Tjson.Obj
+  Json.Obj
     ([
-       ("ts", Tjson.Int (Time.to_ns e.time));
-       ("seq", Tjson.Int e.seq);
+       ("ts", Json.Int (Time.to_ns e.time));
+       ("seq", Json.Int e.seq);
        ("flow", opt_int e.flow);
        ("sw", opt_int e.switch);
        ("parent", parent);
-       ("kind", Tjson.String (kind_label e.kind));
+       ("kind", Json.String (kind_label e.kind));
      ]
     @ args_of_kind e.kind)
 
 let ( let* ) r f = Result.bind r f
 
 let field name j =
-  match Tjson.member name j with
+  match Json.member name j with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing field %S" name)
 
+let typed what conv v = Option.to_result ~none:("expected " ^ what) (conv v)
+
 let int_field name j =
   let* v = field name j in
-  Tjson.to_int v
+  typed "integer" Json.to_int v
 
 let str_field name j =
   let* v = field name j in
-  Tjson.to_str v
+  typed "string" Json.to_str v
 
 let opt_int_field name j =
   let* v = field name j in
   match v with
-  | Tjson.Null -> Ok None
-  | Tjson.Int n -> Ok (Some n)
+  | Json.Null -> Ok None
+  | Json.Int n -> Ok (Some n)
   | _ -> Error (Printf.sprintf "field %S: expected integer or null" name)
 
 let kind_of_json j =
@@ -224,7 +227,7 @@ let kind_of_json j =
   | "ctrl_flood" -> Ok Ctrl_flood
   | "regroup" ->
       let* full = field "full" j in
-      let* full = Tjson.to_bool full in
+      let* full = typed "bool" Json.to_bool full in
       let* groups = int_field "groups" j in
       Ok (Regroup { full; groups })
   | "chaos_fault" ->
@@ -250,8 +253,8 @@ let of_json j =
   let* parent =
     let* v = field "parent" j in
     match v with
-    | Tjson.Null -> Ok None
-    | Tjson.List [ Tjson.Int at; Tjson.Int sn ] ->
+    | Json.Null -> Ok None
+    | Json.List [ Json.Int at; Json.Int sn ] ->
         Ok (Some { at = Time.of_ns at; sn })
     | _ -> Error "field \"parent\": expected null or [ts, seq]"
   in
@@ -267,9 +270,9 @@ let pp ppf e =
     List.iter
       (fun (k, v) ->
         match v with
-        | Tjson.Int n -> Format.fprintf ppf " %s=%d" k n
-        | Tjson.String s -> Format.fprintf ppf " %s=%s" k s
-        | Tjson.Bool b -> Format.fprintf ppf " %s=%b" k b
+        | Json.Int n -> Format.fprintf ppf " %s=%d" k n
+        | Json.String s -> Format.fprintf ppf " %s=%s" k s
+        | Json.Bool b -> Format.fprintf ppf " %s=%b" k b
         | _ -> ())
       args
   in

@@ -8,6 +8,7 @@
    the real CLI gating surface per rule family. *)
 
 open Lazyctrl_analysis
+module Json = Lazyctrl_util.Json
 
 let check = Alcotest.check
 
@@ -29,6 +30,30 @@ let parse_structure ~file src =
 let parse_file file src = (file, parse_structure ~file src)
 
 let read_file path = In_channel.with_open_text path In_channel.input_all
+
+(* --- the lint CLI ------------------------------------------------------------- *)
+
+let lint_exe = Filename.concat (Filename.concat ".." "bin") "lazyctrl_lint.exe"
+
+let run_lint args =
+  let null = if Sys.win32 then "NUL" else "/dev/null" in
+  Sys.command (Printf.sprintf "%s %s > %s 2>&1" lint_exe args null)
+
+let write_file path content =
+  let oc = open_out_bin path in
+  output_string oc content;
+  close_out oc
+
+(* The CLI's stdout, parsed as the one JSON document it must be. *)
+let lint_json args =
+  let out = Filename.temp_file "lazyctrl_lint" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      ignore (Sys.command (Printf.sprintf "%s %s > %s" lint_exe args out));
+      match Json.of_string (read_file out) with
+      | Ok j -> j
+      | Error msg -> Alcotest.failf "lint %s printed malformed JSON: %s" args msg)
 
 (* --- hot-path spec (Hotspec) ------------------------------------------------ *)
 
@@ -379,10 +404,10 @@ let hotbudget_tests =
         let entries, errs =
           Hotbudget.parse
             "# comment\n\nhp-a 0.0 -- allocation-free\nhp-b 12.5\nhp-c \
-             nonsense\nhp-d\n"
+             nonsense\nhp-d\nhp-e inf\n"
         in
         check Alcotest.int "two entries" 2 (List.length entries);
-        check Alcotest.int "two malformed lines" 2 (List.length errs);
+        check Alcotest.int "three malformed lines" 3 (List.length errs);
         check Alcotest.bool "epsilon is below one boxed option" true
           (Hotbudget.epsilon < 2.0));
     Alcotest.test_case
@@ -525,8 +550,30 @@ let repo_gate_tests =
               ~measured:(consistent_measured ()) ()
           in
           check Alcotest.bool "clean" true (Driver.hotpath_clean r);
-          check Alcotest.bool "JSON report says so" true
-            (has_substring (Driver.hotpath_report_json r) "\"clean\": true")
+          let measured = Filename.temp_file "lazyctrl_measured" ".json" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove measured)
+            (fun () ->
+              Lazyctrl_perf.Report.save measured
+                (List.map
+                   (fun (name, words) ->
+                     {
+                       Lazyctrl_perf.Measure.name;
+                       ops_per_sec = 1.;
+                       ns_per_op = 1.;
+                       alloc_bytes_per_op = 8. *. words;
+                       minor_words_per_op = words;
+                       events_fired = 0;
+                     })
+                   (consistent_measured ()));
+              let report =
+                lint_json
+                  (Printf.sprintf "--root %s --hotpath-report --measured %s"
+                     repo_root measured)
+              in
+              check Alcotest.bool "JSON report says so" true
+                (Option.equal Bool.equal (Some true)
+                   (Option.bind (Json.member "clean" report) Json.to_bool)))
         end);
     Alcotest.test_case
       "hotpath_check fails on a statically-clean probe measuring hot" `Quick
@@ -659,17 +706,6 @@ let letmodule_tests =
 
 (* --- CLI exit-code matrix ----------------------------------------------------- *)
 
-let lint_exe = Filename.concat (Filename.concat ".." "bin") "lazyctrl_lint.exe"
-
-let run_lint args =
-  let null = if Sys.win32 then "NUL" else "/dev/null" in
-  Sys.command (Printf.sprintf "%s %s > %s 2>&1" lint_exe args null)
-
-let write_file path content =
-  let oc = open_out_bin path in
-  output_string oc content;
-  close_out oc
-
 (* One representative rule id per family, for planting stale entries. *)
 let family_rules =
   [
@@ -685,6 +721,24 @@ let family_rules =
 let with_tmp_file f =
   let path = Filename.temp_file "lazyctrl_hotpath" ".allow" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* A scratch tree with one real D003 finding and an allowlist holding
+   one stale entry; [f root allow] runs against it. *)
+let with_dirty_tree f =
+  let root = Filename.temp_file "lazyctrl_lint_tree" "" in
+  Sys.remove root;
+  Sys.mkdir root 0o755;
+  Sys.mkdir (Filename.concat root "lib") 0o755;
+  Sys.mkdir (Filename.concat root "lib/fixlib") 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote root))))
+    (fun () ->
+      write_file (Filename.concat root "lib/fixlib/dirty.ml") "let t () = Sys.time ()";
+      write_file (Filename.concat root "lib/fixlib/dirty.mli") "val t : unit -> float";
+      let allow = Filename.concat root ".allow" in
+      write_file allow "lib/nowhere.ml D002-raw-random planted stale entry\n";
+      f root allow)
 
 let exit_code_tests =
   [
@@ -725,33 +779,90 @@ let exit_code_tests =
       (fun () ->
         (* A tree with a real D003 finding AND a stale entry: exit 1,
            not 3 — fixing code outranks pruning the allowlist. *)
-        if Sys.file_exists lint_exe then begin
-          let root = Filename.temp_file "lazyctrl_lint_tree" "" in
-          Sys.remove root;
-          Sys.mkdir root 0o755;
-          Sys.mkdir (Filename.concat root "lib") 0o755;
-          Sys.mkdir (Filename.concat root "lib/fixlib") 0o755;
-          Fun.protect
-            ~finally:(fun () ->
-              ignore
-                (Sys.command
-                   (Printf.sprintf "rm -rf %s" (Filename.quote root))))
-            (fun () ->
-              write_file
-                (Filename.concat root "lib/fixlib/dirty.ml")
-                "let t () = Sys.time ()";
-              write_file
-                (Filename.concat root "lib/fixlib/dirty.mli")
-                "val t : unit -> float";
-              let allow = Filename.concat root ".allow" in
-              write_file allow
-                "lib/nowhere.ml D002-raw-random planted stale entry\n";
+        if Sys.file_exists lint_exe then
+          with_dirty_tree (fun root allow ->
               check Alcotest.int "exit 1"
                 1
                 (run_lint
                    (Printf.sprintf "--root %s --allow %s --rules D --check"
-                      root allow)))
-        end);
+                      root allow))));
+  ]
+
+(* --- JSON and SARIF reports through the CLI ----------------------------------- *)
+
+let list_field key j =
+  match Option.bind (Json.member key j) Json.to_list with
+  | Some l -> l
+  | None -> Alcotest.failf "no %s array" key
+
+let report_tests =
+  [
+    Alcotest.test_case "--format sarif: one rule per id, one result per finding"
+      `Quick (fun () ->
+        if Sys.file_exists lint_exe then
+          with_dirty_tree (fun root allow ->
+              let gating =
+                (Driver.run ~families:[ "D" ] ~root ~allow_path:allow ())
+                  .Driver.findings
+              in
+              let sarif =
+                lint_json
+                  (Printf.sprintf "--root %s --allow %s --rules D --format sarif"
+                     root allow)
+              in
+              check
+                Alcotest.(option string)
+                "version" (Some "2.1.0")
+                (Option.bind (Json.member "version" sarif) Json.to_str);
+              let run =
+                match list_field "runs" sarif with
+                | [ run ] -> run
+                | _ -> Alcotest.fail "expected exactly one run"
+              in
+              let rules =
+                match
+                  Option.bind (Json.member "tool" run) (Json.member "driver")
+                with
+                | Some driver -> list_field "rules" driver
+                | None -> Alcotest.fail "no tool.driver"
+              in
+              check Alcotest.int "one rule per Rules.all entry"
+                (List.length Rules.all) (List.length rules);
+              check
+                Alcotest.(list string)
+                "one result per gating finding" (rules_of gating)
+                (List.map
+                   (fun r ->
+                     Option.value ~default:""
+                       (Option.bind (Json.member "ruleId" r) Json.to_str))
+                   (list_field "results" run));
+              check Alcotest.bool "the fixture has a finding" true
+                (not (List.is_empty gating))));
+    Alcotest.test_case "--format json carries every report field" `Quick
+      (fun () ->
+        if Sys.file_exists lint_exe then
+          with_dirty_tree (fun root allow ->
+              let report =
+                lint_json
+                  (Printf.sprintf "--root %s --allow %s --rules D --format json"
+                     root allow)
+              in
+              List.iter
+                (fun key ->
+                  check Alcotest.bool (key ^ " present") true
+                    (Option.is_some (Json.member key report)))
+                [
+                  "findings"; "suppressed"; "stale_allowlist";
+                  "callgraph_notes"; "parse_failures"; "files_scanned"; "clean";
+                ];
+              check Alcotest.int "one finding" 1
+                (List.length (list_field "findings" report));
+              check Alcotest.int "one stale entry" 1
+                (List.length (list_field "stale_allowlist" report));
+              check
+                Alcotest.(option bool)
+                "not clean" (Some false)
+                (Option.bind (Json.member "clean" report) Json.to_bool)));
   ]
 
 let () =
@@ -765,4 +876,5 @@ let () =
       ("sarif-metadata", sarif_tests);
       ("callgraph-letmodule", letmodule_tests);
       ("exit-codes", exit_code_tests);
+      ("lint-reports", report_tests);
     ]

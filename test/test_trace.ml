@@ -193,9 +193,9 @@ let test_jsonl_round_trip () =
   | Error e -> Alcotest.failf "of_jsonl: %s" e);
   (* Rendering is deterministic byte-for-byte. *)
   check Alcotest.string "stable rendering" data (Export.to_jsonl evs);
-  (* Each line is exactly the compact Tjson rendering of the event. *)
-  check Alcotest.string "line is compact Tjson"
-    (Tjson.to_string (Event.to_json (List.hd evs)))
+  (* Each line is exactly the compact Json rendering of the event. *)
+  check Alcotest.string "line is compact Json"
+    (Lazyctrl_util.Json.to_string (Event.to_json (List.hd evs)))
     (List.hd (String.split_on_char '\n' data))
 
 let test_chrome_round_trip () =
@@ -218,6 +218,16 @@ let test_jsonl_rejects_garbage () =
   (match Export.of_jsonl "{\"ts\":1}\nnot json\n" with
   | Ok _ -> Alcotest.fail "expected an error"
   | Error e -> check Alcotest.bool "error names the line" true (contains_line e));
+  (* A fractional timestamp parses as JSON; the decoder must refuse it. *)
+  let ev ts =
+    Printf.sprintf
+      "{\"ts\":%s,\"seq\":0,\"flow\":null,\"sw\":null,\"parent\":null,\"kind\":\"ingress\"}\n"
+      ts
+  in
+  (match Export.of_jsonl (ev "1" ^ ev "1.5") with
+  | Ok _ -> Alcotest.fail "expected an error for ts 1.5"
+  | Error e ->
+      check Alcotest.string "fractional ts" "line 2: expected integer" e);
   match Export.of_chrome "[1,2,3]" with
   | Ok _ -> Alcotest.fail "expected an error"
   | Error _ -> ()

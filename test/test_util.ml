@@ -1,4 +1,5 @@
-(* Tests for lazyctrl.util: PRNG, heaps, union-find, statistics, tables. *)
+(* Tests for lazyctrl.util: PRNG, heaps, union-find, statistics, tables,
+   JSON. *)
 
 module Prng = Lazyctrl_util.Prng
 module Intmap = Lazyctrl_util.Intmap
@@ -6,6 +7,7 @@ module Heap = Lazyctrl_util.Heap
 module Union_find = Lazyctrl_util.Union_find
 module Stats = Lazyctrl_util.Stats
 module Table = Lazyctrl_util.Table
+module Json = Lazyctrl_util.Json
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
@@ -411,6 +413,161 @@ let test_table_cells () =
   check Alcotest.string "decimals" "1.500" (Table.cell_float ~decimals:3 1.5);
   check Alcotest.string "int" "42" (Table.cell_int 42)
 
+(* --- JSON ---------------------------------------------------------------- *)
+
+let test_json_layout () =
+  let v =
+    Json.Obj
+      [
+        ("k", Json.Int 1);
+        ("l", Json.List [ Json.Null; Json.Bool true; Json.Float 2.5 ]);
+        ("e", Json.Obj []);
+        ("s", Json.String "a\"b\\c\n\001");
+      ]
+  in
+  check Alcotest.string "compact"
+    {|{"k":1,"l":[null,true,2.5],"e":{},"s":"a\"b\\c\n\u0001"}|}
+    (Json.to_string v);
+  check Alcotest.string "indented"
+    "{\n\
+    \  \"k\": 1,\n\
+    \  \"l\": [\n\
+    \    null,\n\
+    \    true,\n\
+    \    2.5\n\
+    \  ],\n\
+    \  \"e\": {},\n\
+    \  \"s\": \"a\\\"b\\\\c\\n\\u0001\"\n\
+     }\n"
+    (Json.to_string ~indent:2 v);
+  check Alcotest.string "integral float" "[3,-0,1e+20]"
+    (Json.to_string (Json.List [ Json.Float 3.; Json.Float (-0.); Json.Float 1e20 ]))
+
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      List.iter
+        (fun indent ->
+          match Json.to_string ?indent (Json.List [ Json.Float f ]) with
+          | s -> Alcotest.failf "printed %s for %F" s f
+          | exception Invalid_argument _ -> ())
+        [ None; Some 2 ])
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  List.iter
+    (fun lit ->
+      check Alcotest.bool (lit ^ " rejected") true
+        (Result.is_error (Json.of_string lit)))
+    [ "1e400"; "-1e400"; "[1.5e309]" ]
+
+let test_json_parse () =
+  let ok lit = match Json.of_string lit with Ok v -> v | Error e -> Alcotest.fail e in
+  let is_error lit =
+    check Alcotest.bool (lit ^ " rejected") true (Result.is_error (Json.of_string lit))
+  in
+  check Alcotest.(option int) "int" (Some 42) (Json.to_int (ok " 42 "));
+  check Alcotest.(option int) "min_int" (Some min_int)
+    (Json.to_int (ok (string_of_int min_int)));
+  check Alcotest.(option int) "1.0 is not an int" None (Json.to_int (ok "1.0"));
+  check Alcotest.(option (float 0.)) "to_float accepts Int" (Some 0.)
+    (Json.to_float (ok "0"));
+  check Alcotest.(option string) "ASCII \\u escape" (Some "A/")
+    (Json.to_str (ok {|"\u0041\/"|}));
+  check Alcotest.(option bool) "member" (Some false)
+    (Option.bind (Json.member "b" (ok {|{"a":1,"b":false}|})) Json.to_bool);
+  List.iter is_error
+    [
+      "4611686018427387904"; {|"\u00e9"|}; {|"\u12G4"|}; "1 2"; "[1,]"; "01.";
+      "-"; "1e"; "nul"; "{\"a\" 1}"; "";
+    ]
+
+(* Generators: strings full of what escaping must get right, ints at
+   the edges, finite floats, nested containers. *)
+let json_string_gen =
+  QCheck2.Gen.(
+    list_size (int_bound 6)
+      (oneof
+         [
+           oneofl
+             [
+               "\""; "\\"; "/"; "\n"; "\r"; "\t"; "\000"; "\x1f"; "\x7f";
+               "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9d\x84\x9e";
+             ];
+           string_size ~gen:char (int_bound 4);
+           string_printable;
+         ])
+    >|= String.concat "")
+
+let json_gen =
+  QCheck2.Gen.(
+    let leaf =
+      oneof
+        [
+          pure Json.Null;
+          bool >|= (fun b -> Json.Bool b);
+          oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ] >|= (fun n -> Json.Int n);
+          oneof
+            [
+              float >|= (fun f -> if Float.is_finite f then f else 0.25);
+              oneofl [ -0.; 1e15; 1e-300; 1e300; Float.max_float; Float.min_float; 0.1 ];
+              int_range (-1000) 1000 >|= float_of_int;
+            ]
+          >|= (fun f -> Json.Float f);
+          json_string_gen >|= (fun s -> Json.String s);
+        ]
+    in
+    sized_size (int_bound 4)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, list_size (int_bound 4) (self (n - 1)) >|= (fun l -> Json.List l));
+                 ( 1,
+                   list_size (int_bound 4) (pair json_string_gen (self (n - 1)))
+                   >|= fun fields -> Json.Obj fields );
+               ]))
+
+(* Structural equality, except that an integral [Float] reads back as
+   [Int]. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Float f, Json.Int n | Json.Int n, Json.Float f -> Float.equal f (float_of_int n)
+  | Json.Float x, Json.Float y -> Float.equal x y
+  | Json.Int x, Json.Int y -> Int.equal x y
+  | Json.Null, Json.Null -> true
+  | Json.Bool x, Json.Bool y -> Bool.equal x y
+  | Json.String x, Json.String y -> String.equal x y
+  | Json.List xs, Json.List ys -> List.equal json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.equal (fun (k, v) (k', v') -> String.equal k k' && json_equal v v') xs ys
+  | _ -> false
+
+let test_json_round_trip =
+  qtest ~count:500 "json: of_string (to_string v) = v, compact and indented"
+    QCheck2.Gen.(pair json_gen (opt (int_range 0 4)))
+    (fun (v, indent) ->
+      match Json.of_string (Json.to_string ?indent v) with
+      | Ok v' -> json_equal v v'
+      | Error _ -> false)
+
+let total s = match Json.of_string s with Ok _ | Error _ -> true
+
+let test_json_total_random =
+  qtest ~count:1000 "json: of_string is total on random bytes"
+    QCheck2.Gen.(string_size ~gen:char (int_bound 40))
+    total
+
+let test_json_total_damaged =
+  qtest ~count:1000 "json: of_string is total on truncated or flipped documents"
+    QCheck2.Gen.(quad json_gen bool nat (int_range 1 255))
+    (fun (v, indent, pos, flip) ->
+      let s = Json.to_string ?indent:(if indent then Some 2 else None) v in
+      let i = pos mod String.length s in
+      let flipped = Bytes.of_string s in
+      Bytes.set flipped i (Char.chr (Char.code s.[i] lxor flip));
+      total (String.sub s 0 i) && total (Bytes.to_string flipped))
+
 let () =
   Alcotest.run "util"
     [
@@ -460,5 +617,14 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "cells" `Quick test_table_cells;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "layout" `Quick test_json_layout;
+          Alcotest.test_case "non-finite floats" `Quick test_json_non_finite;
+          Alcotest.test_case "parse" `Quick test_json_parse;
+          test_json_round_trip;
+          test_json_total_random;
+          test_json_total_damaged;
         ] );
     ]
