@@ -529,6 +529,29 @@ let experiment_cmd =
 
 (* --- chaos ----------------------------------------------------------------- *)
 
+let print_schedule events =
+  print_endline "fault schedule:";
+  List.iter
+    (fun e ->
+      Printf.printf "  %s\n" (Format.asprintf "%a" Lazyctrl_chaos.Fault.pp_event e))
+    events
+
+(* The final invariant reports; exits 1 when they never all held. *)
+let print_verdict reports converged_after =
+  print_endline "invariants after settling:";
+  List.iter
+    (fun rep ->
+      Printf.printf "  %s\n"
+        (Format.asprintf "%a" Lazyctrl_chaos.Invariant.pp_report rep))
+    reports;
+  match converged_after with
+  | Some t ->
+      Printf.printf "converged %.1f s after the last repair\n"
+        (Time.to_float_sec t)
+  | None ->
+      print_endline "DID NOT CONVERGE before the settle deadline";
+      exit 1
+
 let chaos_cluster seed switches tenants loss faults window members =
   let module Chaos = Lazyctrl_chaos in
   let module CR = Lazyctrl_cluster.Chaos_runner in
@@ -555,10 +578,7 @@ let chaos_cluster seed switches tenants loss faults window members =
      faults over %ds (seed %d)\n%!"
     members switches tenants (100. *. loss) faults window seed;
   let r = CR.run cfg in
-  print_endline "fault schedule:";
-  List.iter
-    (fun e -> Printf.printf "  %s\n" (Format.asprintf "%a" Chaos.Fault.pp_event e))
-    r.CR.events;
+  print_schedule r.CR.events;
   let s = r.CR.reliability in
   Printf.printf
     "reliable sessions: %d data sent, %d retransmits, %d dups ignored, %d \
@@ -582,18 +602,7 @@ let chaos_cluster seed switches tenants loss faults window members =
     "traffic: %d flows started, %d delivered, %d unresolved; involvement %.4f\n"
     r.CR.flows_started r.CR.flows_delivered r.CR.resolutions_failed
     r.CR.involvement;
-  print_endline "invariants after settling:";
-  List.iter
-    (fun rep ->
-      Printf.printf "  %s\n" (Format.asprintf "%a" Chaos.Invariant.pp_report rep))
-    r.CR.reports;
-  match r.CR.converged_after with
-  | Some t ->
-      Printf.printf "converged %.1f s after the last repair\n"
-        (Time.to_float_sec t)
-  | None ->
-      print_endline "DID NOT CONVERGE before the settle deadline";
-      exit 1
+  print_verdict r.CR.reports r.CR.converged_after
 
 let chaos seed switches tenants loss raw faults window cluster members =
   if cluster then chaos_cluster seed switches tenants loss faults window members
@@ -625,10 +634,7 @@ let chaos seed switches tenants loss raw faults window cluster members =
     (if raw then "fire-and-forget" else "reliable")
     seed;
   let r = Chaos.Runner.run cfg in
-  print_endline "fault schedule:";
-  List.iter
-    (fun e -> Printf.printf "  %s\n" (Format.asprintf "%a" Chaos.Fault.pp_event e))
-    r.Chaos.Runner.events;
+  print_schedule r.Chaos.Runner.events;
   let l = r.Chaos.Runner.link in
   Printf.printf
     "channels: %d sent, %d delivered (%.1f%%), %d lost to chaos, %d duplicated\n"
@@ -643,18 +649,7 @@ let chaos seed switches tenants loss raw faults window cluster members =
     s.Lazyctrl_openflow.Reliable.retransmits
     s.Lazyctrl_openflow.Reliable.dups_ignored
     s.Lazyctrl_openflow.Reliable.give_ups;
-  print_endline "invariants after settling:";
-  List.iter
-    (fun rep ->
-      Printf.printf "  %s\n" (Format.asprintf "%a" Chaos.Invariant.pp_report rep))
-    r.Chaos.Runner.reports;
-  match r.Chaos.Runner.converged_after with
-  | Some t ->
-      Printf.printf "converged %.1f s after the last repair\n"
-        (Time.to_float_sec t)
-  | None ->
-      print_endline "DID NOT CONVERGE before the settle deadline";
-      exit 1
+  print_verdict r.Chaos.Runner.reports r.Chaos.Runner.converged_after
   end
 
 let chaos_cmd =

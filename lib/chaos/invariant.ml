@@ -14,15 +14,6 @@ let pp_report fmt r =
 
 let all_ok = List.for_all (fun r -> r.ok)
 
-let live_switches net =
-  let topo = Network.topology net in
-  List.filter_map
-    (fun sw ->
-      match Network.edge_switch net sw with
-      | Some es when Edge_switch.is_up es -> Some (sw, es)
-      | _ -> None)
-    (Lazyctrl_topo.Topology.switches topo)
-
 let sorted_keys keys = List.sort_uniq Proto.host_key_compare keys
 
 (* C-LIB row of every live switch equals that switch's L-FIB. Rows of dead
@@ -121,7 +112,7 @@ let check_all net =
   match Network.lazy_controller net with
   | None -> []
   | Some controller ->
-      let live = live_switches net in
+      let live = Network.live_switches net in
       [
         check_grouped live;
         check_clib controller live;

@@ -30,8 +30,6 @@ type report = { name : string; ok : bool; detail : string }
 val pp_report : Format.formatter -> report -> unit
 val all_ok : report list -> bool
 
-val live_switches : Network.t -> (Ids.Switch_id.t * Edge_switch.t) list
-
 val check_grouped : (Ids.Switch_id.t * Edge_switch.t) list -> report
 val check_clib :
   Controller.t -> (Ids.Switch_id.t * Edge_switch.t) list -> report

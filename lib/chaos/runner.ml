@@ -71,8 +71,8 @@ let delivery_ratio (l : Network.link_totals) =
   if l.Network.links_sent = 0 then 1.0
   else float_of_int l.Network.links_delivered /. float_of_int l.Network.links_sent
 
-let fingerprint_of ~events ~reports ~converged_after ~link ~reliability
-    ~switch_stats ~controller_stats ~at =
+let fingerprint ~events ~reports ~converged_after ~link ~reliability
+    ~switch_stats ~extra ~at =
   let b = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   List.iter (fun e -> add "event %s\n" (Format.asprintf "%a" Fault.pp_event e)) events;
@@ -82,9 +82,12 @@ let fingerprint_of ~events ~reports ~converged_after ~link ~reliability
   (match converged_after with
   | Some t -> add "converged_after %d\n" (Time.to_ns t)
   | None -> add "converged_after none\n");
-  add "link sent=%d delivered=%d dropped=%d lost=%d duplicated=%d\n"
-    link.Network.links_sent link.Network.links_delivered link.Network.links_dropped
-    link.Network.links_lost link.Network.links_duplicated;
+  Option.iter
+    (fun (l : Network.link_totals) ->
+      add "link sent=%d delivered=%d dropped=%d lost=%d duplicated=%d\n"
+        l.links_sent l.links_delivered l.links_dropped l.links_lost
+        l.links_duplicated)
+    link;
   let r = reliability in
   add
     "reliable data=%d retrans=%d acks=%d delivered=%d dups=%d stale=%d tail=%d \
@@ -103,51 +106,67 @@ let fingerprint_of ~events ~reports ~converged_after ~link ~reliability
     s.Edge_switch.arp_local_answered s.Edge_switch.arp_group_escalated
     s.Edge_switch.adverts_sent s.Edge_switch.keepalives_sent
     s.Edge_switch.misses_buffered s.Edge_switch.misses_replayed;
-  (match controller_stats with
-  | None -> ()
-  | Some c ->
-      add
-        "controller requests=%d packet_ins=%d arp_esc=%d reports=%d alarms=%d \
-         fmods=%d pouts=%d relays=%d floods=%d updates=%d regroups=%d \
-         failovers=%d preloads=%d\n"
-        c.Controller.requests c.Controller.packet_ins c.Controller.arp_escalations
-        c.Controller.state_reports c.Controller.ring_alarms
-        c.Controller.flow_mods_sent c.Controller.packet_outs_sent
-        c.Controller.arp_relays c.Controller.floods c.Controller.grouping_updates
-        c.Controller.full_regroups c.Controller.failovers_handled
-        c.Controller.preloaded_rules);
+  Buffer.add_string b extra;
   add "clock %d\n" (Time.to_ns at);
   Buffer.contents b
 
-let placement_spec cfg =
+let controller_line (c : Controller.stats) =
+  Printf.sprintf
+    "controller requests=%d packet_ins=%d arp_esc=%d reports=%d alarms=%d \
+     fmods=%d pouts=%d relays=%d floods=%d updates=%d regroups=%d \
+     failovers=%d preloads=%d\n"
+    c.requests c.packet_ins c.arp_escalations c.state_reports c.ring_alarms
+    c.flow_mods_sent c.packet_outs_sent c.arp_relays c.floods
+    c.grouping_updates c.full_regroups c.failovers_handled c.preloaded_rules
+
+let placement_spec ~n_switches ~n_tenants =
   {
-    Placement.n_switches = cfg.n_switches;
-    n_tenants = cfg.n_tenants;
+    Placement.n_switches;
+    n_tenants;
     tenant_size_min = 8;
     tenant_size_max = 16;
     racks_per_tenant = 3;
     stray_fraction = 0.05;
   }
 
-let run ?(tracer = Tracer.disabled) cfg =
-  let rng = Prng.create cfg.seed in
-  let topo = Placement.generate ~rng:(Prng.named rng "topo") (placement_spec cfg) in
+let lossy_params ~seed ~loss ~dup ~reliable =
   let baseline =
-    if cfg.loss > 0.0 || cfg.dup > 0.0 then
-      Some (Channel.uniform_loss ~dup:cfg.dup cfg.loss)
+    if loss > 0.0 || dup > 0.0 then Some (Channel.uniform_loss ~dup loss)
     else None
   in
-  let params =
+  ( baseline,
     {
-      (Params.with_seed cfg.seed Params.default) with
+      (Params.with_seed seed Params.default) with
       Params.control_loss = baseline;
       peer_loss = baseline;
       switch_config =
-        {
-          Edge_switch.default_config with
-          Edge_switch.reliable_state = cfg.reliable;
-        };
-    }
+        { Edge_switch.default_config with Edge_switch.reliable_state = reliable };
+    } )
+
+let settle ~engine ~run ~check ~repair_done ~settle ~poll =
+  run ~until:(Time.add repair_done (Time.of_ms 1));
+  let deadline = Time.add repair_done settle in
+  let rec loop () =
+    let reports = check () in
+    if Invariant.all_ok reports then
+      (reports, Some (Time.diff (Engine.now engine) repair_done))
+    else if Time.(Engine.now engine >= deadline) then (reports, None)
+    else begin
+      run ~until:(Time.add (Engine.now engine) poll);
+      loop ()
+    end
+  in
+  loop ()
+
+let run ?(tracer = Tracer.disabled) cfg =
+  let rng = Prng.create cfg.seed in
+  let topo =
+    Placement.generate ~rng:(Prng.named rng "topo")
+      (placement_spec ~n_switches:cfg.n_switches ~n_tenants:cfg.n_tenants)
+  in
+  let baseline, params =
+    lossy_params ~seed:cfg.seed ~loss:cfg.loss ~dup:cfg.dup
+      ~reliable:cfg.reliable
   in
   let net =
     Network.create ~params
@@ -189,7 +208,7 @@ let run ?(tracer = Tracer.disabled) cfg =
       ~rng:(Prng.named rng "faults")
       ~n_switches:cfg.n_switches cfg.spec
   in
-  Scenario.inject net cfg.spec ~baseline:(baseline, baseline) events;
+  Scenario.inject net cfg.spec ~baseline events;
   (* Mirror every fault's onset and repair into the flight recorder, at
      the same engine times the scenario injector uses (offsets from the
      injection instant). *)
@@ -210,19 +229,11 @@ let run ?(tracer = Tracer.disabled) cfg =
       events
   end;
   let repair_done = Time.add (Engine.now engine) (Scenario.last_repair events) in
-  Network.run net ~until:(Time.add repair_done (Time.of_ms 1));
-  let deadline = Time.add repair_done cfg.settle in
-  let rec settle () =
-    let reports = Invariant.check_all net in
-    if Invariant.all_ok reports then
-      (reports, Some (Time.diff (Engine.now engine) repair_done))
-    else if Time.(Engine.now engine >= deadline) then (reports, None)
-    else begin
-      Network.run net ~until:(Time.add (Engine.now engine) cfg.poll);
-      settle ()
-    end
+  let reports, converged_after =
+    settle ~engine ~run:(Network.run net)
+      ~check:(fun () -> Invariant.check_all net)
+      ~repair_done ~settle:cfg.settle ~poll:cfg.poll
   in
-  let reports, converged_after = settle () in
   let link = Network.link_stats net in
   let reliability = Network.reliability_stats net in
   let switch_stats = Network.switch_stats_sum net in
@@ -230,8 +241,10 @@ let run ?(tracer = Tracer.disabled) cfg =
     Option.map Controller.stats (Network.lazy_controller net)
   in
   let fingerprint =
-    fingerprint_of ~events ~reports ~converged_after ~link ~reliability
-      ~switch_stats ~controller_stats ~at:(Engine.now engine)
+    fingerprint ~events ~reports ~converged_after ~link:(Some link)
+      ~reliability ~switch_stats
+      ~extra:(Option.fold ~none:"" ~some:controller_line controller_stats)
+      ~at:(Engine.now engine)
   in
   {
     events;

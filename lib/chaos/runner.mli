@@ -46,6 +46,37 @@ type result = {
 
 val delivery_ratio : Network.link_totals -> float
 
+(** {1 Shared with the controller-cluster harness} *)
+
+val quick_controller_config : bool -> Controller.config
+(** Timers tight enough that detection and re-sync fit in simulated
+    seconds; the flag is [reliable_state]. *)
+
+val placement_spec :
+  n_switches:int -> n_tenants:int -> Lazyctrl_topo.Placement.spec
+
+val lossy_params :
+  seed:int -> loss:float -> dup:float -> reliable:bool ->
+  Channel.loss_spec option * Params.t
+(** The baseline loss model ([None] if lossless) and parameters carrying
+    it on control and peer channels, with switch [reliable_state]. *)
+
+val settle :
+  engine:Lazyctrl_sim.Engine.t -> run:(until:Time.t -> unit) ->
+  check:(unit -> Invariant.report list) -> repair_done:Time.t ->
+  settle:Time.t -> poll:Time.t -> Invariant.report list * Time.t option
+(** Run just past [repair_done], then [check] every [poll] until all
+    reports hold (returning the time since [repair_done]) or [settle]
+    has elapsed. *)
+
+val fingerprint :
+  events:Fault.event list -> reports:Invariant.report list ->
+  converged_after:Time.t option -> link:Network.link_totals option ->
+  reliability:Reliable.stats -> switch_stats:Edge_switch.stats ->
+  extra:string -> at:Time.t -> string
+(** Event, invariant, convergence, link, reliable and switch lines, then
+    the plane's own [extra] lines, then the clock. *)
+
 val run : ?tracer:Lazyctrl_trace.Tracer.t -> config -> result
 (** [tracer] (default disabled) flight-records the run: it is threaded
     into the network planes and additionally receives a [Chaos_fault]

@@ -56,23 +56,23 @@ let generate ~rng ~n_switches spec =
 let last_repair events =
   List.fold_left (fun acc e -> Time.max acc (Fault.repair_at e)) Time.zero events
 
+(* Burst storms may overlap: every onset applies the storm model, and
+   only the last overlapping storm's end restores the baseline. *)
+let storms ~set_loss ~burst ~baseline =
+  let depth = ref 0 in
+  ( (fun () ->
+      incr depth;
+      set_loss (Some burst)),
+    fun () ->
+      decr depth;
+      if !depth = 0 then set_loss baseline )
+
 let inject net spec ~baseline events =
   let engine = Network.engine net in
-  let base_control, base_peer = baseline in
-  (* Burst storms may overlap: restore the baseline model only when the
-     last overlapping storm ends. *)
-  let storms = ref 0 in
-  let start_burst () =
-    incr storms;
-    Network.set_control_loss net (Some spec.burst);
-    Network.set_peer_loss net (Some spec.burst)
-  in
-  let end_burst () =
-    decr storms;
-    if !storms = 0 then begin
-      Network.set_control_loss net base_control;
-      Network.set_peer_loss net base_peer
-    end
+  let start_burst, end_burst =
+    storms ~burst:spec.burst ~baseline ~set_loss:(fun spec ->
+        Network.set_control_loss net spec;
+        Network.set_peer_loss net spec)
   in
   List.iter
     (fun (e : Fault.event) ->

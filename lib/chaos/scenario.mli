@@ -30,12 +30,21 @@ val generate :
 val last_repair : Fault.event list -> Time.t
 (** Offset of the last repair; [Time.zero] for an empty list. *)
 
+val storms :
+  set_loss:(Channel.loss_spec option -> unit) ->
+  burst:Channel.loss_spec ->
+  baseline:Channel.loss_spec option ->
+  (unit -> unit) * (unit -> unit)
+(** The onset and end of a {!Fault.Burst_loss} storm: each onset applies
+    [burst] through [set_loss]; the end of the last overlapping storm
+    restores [baseline]. *)
+
 val inject :
   Network.t ->
   spec ->
-  baseline:(Channel.loss_spec option * Channel.loss_spec option) ->
+  baseline:Channel.loss_spec option ->
   Fault.event list ->
   unit
 (** Schedule every fault and its repair, offsets relative to now.
-    [baseline] is the (control, peer) loss model to restore when the last
-    overlapping burst storm ends. *)
+    [baseline] is the control and peer loss model to restore when the
+    last overlapping burst storm ends. *)

@@ -49,20 +49,10 @@ let default_config =
   }
 
 (* Small groups so each of the three members owns several, giving kills
-   and handoffs something to move; timers tight enough that detection,
-   probing and re-homing fit in simulated seconds. *)
+   and handoffs something to move; the single-plane harness's timers, so
+   detection, probing and re-homing fit in simulated seconds. *)
 let cluster_controller_config =
-  {
-    Controller.default_config with
-    Controller.group_size_limit = 4;
-    sync_period = Time.of_sec 10;
-    keepalive_period = Time.of_sec 2;
-    echo_period = Time.of_sec 5;
-    echo_timeout = Time.of_sec 12;
-    daemon_period = Time.of_sec 5;
-    incremental_updates = false;
-    reliable_state = true;
-  }
+  { (Runner.quick_controller_config true) with Controller.group_size_limit = 4 }
 
 type result = {
   events : Fault.event list;
@@ -159,18 +149,11 @@ let check_all plane =
 let inject plane cfg ~baseline events =
   let engine = Plane.engine plane in
   let m = Plane.n_members plane in
-  let storms = ref 0 in
-  let start_burst () =
-    incr storms;
-    Plane.set_control_loss plane (Some cfg.spec.Scenario.burst);
-    Plane.set_peer_loss plane (Some cfg.spec.Scenario.burst)
-  in
-  let end_burst () =
-    decr storms;
-    if !storms = 0 then begin
-      Plane.set_control_loss plane baseline;
-      Plane.set_peer_loss plane baseline
-    end
+  let start_burst, end_burst =
+    Scenario.storms ~burst:cfg.spec.Scenario.burst ~baseline
+      ~set_loss:(fun spec ->
+        Plane.set_control_loss plane spec;
+        Plane.set_peer_loss plane spec)
   in
   List.iter
     (fun (e : Fault.event) ->
@@ -196,81 +179,17 @@ let inject plane cfg ~baseline events =
       ignore (Engine.schedule engine ~after:(Fault.repair_at e) repair))
     events
 
-(* --- fingerprint ---------------------------------------------------------- *)
-
-let fingerprint_of ~events ~reports ~converged_after ~reliability ~switch_stats
-    ~member_stats ~flows_started ~flows_delivered ~resolutions_failed ~at =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  List.iter
-    (fun e -> add "event %s\n" (Format.asprintf "%a" Fault.pp_event e))
-    events;
-  List.iter
-    (fun r -> add "invariant %s\n" (Format.asprintf "%a" Invariant.pp_report r))
-    reports;
-  (match converged_after with
-  | Some t -> add "converged_after %d\n" (Time.to_ns t)
-  | None -> add "converged_after none\n");
-  let r = reliability in
-  add
-    "reliable data=%d retrans=%d acks=%d delivered=%d dups=%d stale=%d tail=%d \
-     give_ups=%d violations=%d\n"
-    r.Reliable.data_sent r.Reliable.retransmits r.Reliable.acks_sent
-    r.Reliable.delivered r.Reliable.dups_ignored r.Reliable.stale_dropped
-    r.Reliable.tail_dropped r.Reliable.give_ups r.Reliable.violations;
-  let s = switch_stats in
-  add
-    "switch from_hosts=%d delivered=%d encap=%d ft=%d lfib=%d gfib=%d gdup=%d \
-     punted=%d fp=%d arp_l=%d arp_g=%d adverts=%d ka=%d miss_buf=%d miss_rep=%d\n"
-    s.Edge_switch.packets_from_hosts s.Edge_switch.packets_delivered
-    s.Edge_switch.encap_sent s.Edge_switch.flow_table_handled
-    s.Edge_switch.lfib_handled s.Edge_switch.gfib_handled
-    s.Edge_switch.gfib_duplicates s.Edge_switch.punted s.Edge_switch.fp_drops
-    s.Edge_switch.arp_local_answered s.Edge_switch.arp_group_escalated
-    s.Edge_switch.adverts_sent s.Edge_switch.keepalives_sent
-    s.Edge_switch.misses_buffered s.Edge_switch.misses_replayed;
-  let m = member_stats in
-  add
-    "member hellos=%d rehomes=%d adoptions=%d releases=%d handoffs=%d \
-     deaths=%d revivals=%d ctrl_failures=%d\n"
-    m.Member.hellos_sent m.Member.rehomes_sent m.Member.adoptions
-    m.Member.releases m.Member.handoffs_offered m.Member.peer_deaths
-    m.Member.peer_revivals m.Member.controller_failure_verdicts;
-  add "flows started=%d delivered=%d unresolved=%d\n" flows_started
-    flows_delivered resolutions_failed;
-  add "clock %d\n" (Time.to_ns at);
-  Buffer.contents b
-
 (* --- the run -------------------------------------------------------------- *)
-
-let placement_spec cfg =
-  {
-    Placement.n_switches = cfg.n_switches;
-    n_tenants = cfg.n_tenants;
-    tenant_size_min = 8;
-    tenant_size_max = 16;
-    racks_per_tenant = 3;
-    stray_fraction = 0.05;
-  }
 
 let run cfg =
   let rng = Prng.create cfg.seed in
   let topo =
-    Placement.generate ~rng:(Prng.named rng "topo") (placement_spec cfg)
+    Placement.generate ~rng:(Prng.named rng "topo")
+      (Runner.placement_spec ~n_switches:cfg.n_switches ~n_tenants:cfg.n_tenants)
   in
-  let baseline =
-    if cfg.loss > 0.0 || cfg.dup > 0.0 then
-      Some (Channel.uniform_loss ~dup:cfg.dup cfg.loss)
-    else None
-  in
-  let params =
-    {
-      (Params.with_seed cfg.seed Params.default) with
-      Params.control_loss = baseline;
-      peer_loss = baseline;
-      switch_config =
-        { Edge_switch.default_config with Edge_switch.reliable_state = true };
-    }
+  let baseline, params =
+    Runner.lossy_params ~seed:cfg.seed ~loss:cfg.loss ~dup:cfg.dup
+      ~reliable:true
   in
   let plane =
     Plane.create ~params ~controller_config:cluster_controller_config
@@ -309,19 +228,11 @@ let run cfg =
     Time.add (Engine.now engine)
       (Time.max (Scenario.last_repair events) cfg.spec.Scenario.window)
   in
-  Plane.run plane ~until:(Time.add repair_done (Time.of_ms 1));
-  let deadline = Time.add repair_done cfg.settle in
-  let rec settle () =
-    let reports = check_all plane in
-    if Invariant.all_ok reports then
-      (reports, Some (Time.diff (Engine.now engine) repair_done))
-    else if Time.(Engine.now engine >= deadline) then (reports, None)
-    else begin
-      Plane.run plane ~until:(Time.add (Engine.now engine) cfg.poll);
-      settle ()
-    end
+  let reports, converged_after =
+    Runner.settle ~engine ~run:(Plane.run plane)
+      ~check:(fun () -> check_all plane)
+      ~repair_done ~settle:cfg.settle ~poll:cfg.poll
   in
-  let reports, converged_after = settle () in
   let reliability = Plane.reliability_stats plane in
   let switch_stats = Plane.switch_stats_sum plane in
   let member_stats = Plane.member_stats_sum plane in
@@ -337,10 +248,20 @@ let run cfg =
   let involvement =
     float_of_int s.Edge_switch.punted /. float_of_int (max 1 datapath)
   in
+  let m = member_stats in
+  let extra =
+    Printf.sprintf
+      "member hellos=%d rehomes=%d adoptions=%d releases=%d handoffs=%d \
+       deaths=%d revivals=%d ctrl_failures=%d\n\
+       flows started=%d delivered=%d unresolved=%d\n"
+      m.Member.hellos_sent m.Member.rehomes_sent m.Member.adoptions
+      m.Member.releases m.Member.handoffs_offered m.Member.peer_deaths
+      m.Member.peer_revivals m.Member.controller_failure_verdicts flows_started
+      flows_delivered resolutions_failed
+  in
   let fingerprint =
-    fingerprint_of ~events ~reports ~converged_after ~reliability ~switch_stats
-      ~member_stats ~flows_started ~flows_delivered ~resolutions_failed
-      ~at:(Engine.now engine)
+    Runner.fingerprint ~events ~reports ~converged_after ~link:None
+      ~reliability ~switch_stats ~extra ~at:(Engine.now engine)
   in
   {
     events;

@@ -6,52 +6,35 @@ open Lazyctrl_switch
 open Lazyctrl_controller
 open Lazyctrl_core
 module Prng = Lazyctrl_util.Prng
-module Det = Lazyctrl_util.Det
 module Sid = Ids.Switch_id
 module Gid = Ids.Group_id
-module Wire = Lazyctrl_wire.Wire
-
-(* Switch-facing channels carry encoded §13 frames, like Network's.  The
-   coordination mesh stays value-passing: it is the management plane
-   between controller processes (gossip, views, handoffs), not
-   switch-facing OpenFlow, and its load is not part of the Fig. 7
-   control-channel series — the documented exception in DESIGN.md §13. *)
-let set_proto_codec ch =
-  Channel.set_codec ch ~encode:(Wire.encode Proto.wire_ext)
-    ~decode:(Wire.decode Proto.wire_ext)
 
 type t = {
   params : Params.t;
   controller_config : Controller.config;
   engine : Engine.t;
   topo : Topology.t;
-  underlay : Underlay.t;
-  hosts : Host_model.t;
-  rng : Prng.t;
+  fabric : Fabric.t;
   n_members : int;
   controllers : Controller.t array;
   members : Member.t array;
-  switches : Edge_switch.t array;
   up : Edge_switch.msg Channel.t array array;   (* up.(k).(i): switch i -> member k *)
   down : Edge_switch.msg Channel.t array array; (* down.(k).(i): member k -> switch i *)
   coord : Coord.t Channel.t array array;        (* coord.(k).(j): member k -> member j *)
-  peer : (int * int, Edge_switch.msg Channel.t) Hashtbl.t;
   alive : bool array;
   cut : bool array;    (* partitioned off the coordination mesh *)
   uplink : int array;  (* management plane: current master per switch *)
   terms : int array;   (* management plane: mastership generation per switch *)
-  loss_rng : Prng.t;
-  peer_loss : Channel.loss_spec option ref;
 }
 
 let engine t = t.engine
 let topology t = t.topo
-let host_model t = t.hosts
+let host_model t = Fabric.hosts t.fabric
 let n_members t = t.n_members
 let run t ~until = Engine.run ~until t.engine
 let controller t k = t.controllers.(k)
 let member t k = t.members.(k)
-let edge_switch t sw = t.switches.(Sid.to_int sw)
+let edge_switch t sw = Fabric.switch t.fabric sw
 let uplink_of t sw = t.uplink.(Sid.to_int sw)
 let term_of t sw = t.terms.(Sid.to_int sw)
 
@@ -62,20 +45,7 @@ let alive_members t =
   done;
   !out
 
-let live_switches t =
-  List.filter_map
-    (fun sw ->
-      let es = t.switches.(Sid.to_int sw) in
-      if Edge_switch.is_up es then Some (sw, es) else None)
-    (Topology.switches t.topo)
-
-let apply_loss loss_rng spec ch =
-  match spec with
-  | None -> Channel.clear_loss ch
-  | Some spec ->
-      Channel.set_loss ch
-        ~rng:(Prng.named loss_rng ("loss:" ^ Channel.name ch))
-        spec
+let live_switches t = Fabric.live_switches t.fabric
 
 let create ?(params = Params.default)
     ?(controller_config = Controller.default_config)
@@ -88,71 +58,36 @@ let create ?(params = Params.default)
     Underlay.create engine ~latency:params.Params.underlay_latency ()
   in
   let rng = Prng.create params.Params.seed in
-  let loss_rng = Prng.named rng "channel-loss" in
-  let peer_loss = ref params.Params.peer_loss in
-  let send_ref = ref (fun (_ : Host.t) (_ : Packet.t) -> ()) in
-  let hosts =
-    Host_model.create engine
-      ~send:(fun h p -> !send_ref h p)
-      ~arp_ttl:params.Params.arp_cache_ttl
-      ~stack_delay:params.Params.host_stack_delay
-  in
-  let deliver_local host pkt =
-    ignore
-      (Engine.schedule engine ~after:params.Params.host_port_latency (fun () ->
-           ignore (Host_model.deliver hosts ~to_:host pkt)))
-  in
   let alive = Array.make n_members true in
   let cut = Array.make n_members false in
   let uplink = Array.make n 0 in
   let terms = Array.make n 0 in
-  let mk_ctrl_channel fmt k i =
-    let ch =
-      Channel.create ~strict:true engine
-        ~latency:params.Params.control_link_latency
-        ~name:(Printf.sprintf fmt k i) ()
-    in
-    set_proto_codec ch;
-    apply_loss loss_rng params.Params.control_loss ch;
-    ch
-  in
-  let up =
+  (* Switch-facing spokes carry encoded §13 frames, like Network's.  The
+     coordination mesh stays value-passing: it is the management plane
+     between controller processes (gossip, views, handoffs), not
+     switch-facing OpenFlow, and its load is not part of the Fig. 7
+     control-channel series — the documented exception in DESIGN.md §13. *)
+  let spokes fmt =
     Array.init n_members (fun k ->
-        Array.init n (fun i -> mk_ctrl_channel "c%d-up-%d" k i))
+        Array.init n (fun i ->
+            Fabric.channel params engine
+              ~latency:params.Params.control_link_latency
+              ~loss:params.Params.control_loss (Printf.sprintf fmt k i)))
   in
-  let down =
-    Array.init n_members (fun k ->
-        Array.init n (fun i -> mk_ctrl_channel "c%d-down-%d" k i))
+  let up = spokes "c%d-up-%d" and down = spokes "c%d-down-%d" in
+  (* Every host delivery is already counted by the host model. *)
+  let fabric =
+    Fabric.create ~params ~engine ~topo ~underlay
+      ~to_controller:(fun i -> up.(uplink.(i)).(i))
+      ~on_delivery:ignore ()
   in
+  let get_switch i = Fabric.switch fabric (Sid.of_int i) in
   (* The coordination mesh: loss-free, only ever down under faults. *)
   let coord =
     Array.init n_members (fun k ->
         Array.init n_members (fun j ->
             Channel.create ~strict:true engine ~latency:coord_latency
               ~name:(Printf.sprintf "coord-%d-%d" k j) ()))
-  in
-  let peer : (int * int, Edge_switch.msg Channel.t) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let switches : Edge_switch.t option array = Array.make n None in
-  let get_switch i = Option.get switches.(i) in
-  let peer_channel src dst =
-    let key = (Sid.to_int src, Sid.to_int dst) in
-    match Hashtbl.find_opt peer key with
-    | Some ch -> ch
-    | None ->
-        let ch =
-          Channel.create ~strict:true engine
-            ~latency:params.Params.peer_link_latency
-            ~name:(Printf.sprintf "peer-%d-%d" (fst key) (snd key))
-            ()
-        in
-        set_proto_codec ch;
-        apply_loss loss_rng !peer_loss ch;
-        Channel.set_receiver ch (fun msg ->
-            Edge_switch.handle_peer_message (get_switch (snd key)) ~from:src msg);
-        Hashtbl.replace peer key ch;
-        ch
   in
   (* Management-plane claim: reject stale terms with feedback, flip the
      uplink on a winning claim and forward the Rehome to the switch on
@@ -199,7 +134,7 @@ let create ?(params = Params.default)
               (fun sw ->
                 ignore
                   (Engine.schedule engine ~after:params.Params.reboot_delay
-                     (fun () -> Edge_switch.set_up (get_switch (Sid.to_int sw)) true)));
+                     (fun () -> Edge_switch.set_up (Fabric.switch fabric sw) true)));
             request_relay = (fun _ ~via:_ -> ());
             (* ring relay is the single-controller §III-E2 path; the
                cluster re-homes instead *)
@@ -285,75 +220,29 @@ let create ?(params = Params.default)
               ignore (send_coord k j (Coord.Arp_relay { from = k; origin; packet }))
           done))
     controllers;
-  (* Switches. *)
-  for i = 0 to n - 1 do
-    let self = Sid.of_int i in
-    let env =
-      {
-        Edge_switch.engine;
-        send_controller = (fun msg -> Channel.send up.(uplink.(i)).(i) msg);
-        send_peer =
-          (fun p msg ->
-            if not (Sid.equal p self) then
-              ignore (Channel.send (peer_channel self p) msg));
-        send_underlay = (fun pkt -> ignore (Underlay.send underlay pkt));
-        deliver_local;
-        underlay_ip_of = (fun sw -> Topology.underlay_ip topo sw);
-      }
-    in
-    let sw =
-      Edge_switch.create
-        ~rng:(Prng.named rng "switch-sessions")
-        env params.Params.switch_config ~self
-    in
-    switches.(i) <- Some sw;
-    Underlay.register underlay (Topology.underlay_ip topo self) (fun pkt ->
-        Edge_switch.handle_underlay sw pkt)
-  done;
-  let t =
-    {
-      params;
-      controller_config;
-      engine;
-      topo;
-      underlay;
-      hosts;
-      rng;
-      n_members;
-      controllers;
-      members;
-      switches = Array.map Option.get switches;
-      up;
-      down;
-      coord;
-      peer;
-      alive;
-      cut;
-      uplink;
-      terms;
-      loss_rng;
-      peer_loss;
-    }
-  in
-  (send_ref :=
-     fun host pkt ->
-       let loc = Topology.location topo host.Host.id in
-       ignore
-         (Engine.schedule engine ~after:params.Params.host_port_latency
-            (fun () ->
-              Edge_switch.handle_from_host t.switches.(Sid.to_int loc) host pkt)));
-  List.iter
-    (fun (h : Host.t) ->
-      let loc = Sid.to_int (Topology.location topo h.id) in
-      Edge_switch.attach_host t.switches.(loc) h)
-    (Topology.hosts topo);
-  t
+  {
+    params;
+    controller_config;
+    engine;
+    topo;
+    fabric;
+    n_members;
+    controllers;
+    members;
+    up;
+    down;
+    coord;
+    alive;
+    cut;
+    uplink;
+    terms;
+  }
 
 let bootstrap t =
   let intensity = Network.default_intensity t.topo in
   let grouping =
     Lazyctrl_grouping.Sgi.ini_group
-      ~rng:(Prng.named t.rng "ini-group")
+      ~rng:(Prng.named (Prng.create t.params.Params.seed) "ini-group")
       ~limit:t.controller_config.Controller.group_size_limit intensity
   in
   let m = t.n_members in
@@ -383,7 +272,7 @@ let bootstrap t =
 
 let start_flow t ~src ~dst ~bytes ~packets =
   let src = Topology.host t.topo src and dst = Topology.host t.topo dst in
-  Host_model.start_flow t.hosts ~src ~dst ~bytes ~packets
+  Host_model.start_flow (host_model t) ~src ~dst ~bytes ~packets
 
 (* --- fault injection ----------------------------------------------------- *)
 
@@ -433,88 +322,27 @@ let heal_member t k =
     refresh_links t
   end
 
-let fail_switch t sw = Edge_switch.set_up t.switches.(Sid.to_int sw) false
-
-let repair_switch t sw =
-  let es = t.switches.(Sid.to_int sw) in
-  if not (Edge_switch.is_up es) then Edge_switch.set_up es true
+let fail_switch t sw = Fabric.fail_switch t.fabric sw
+let repair_switch t sw = Fabric.repair_switch t.fabric sw
 
 let set_control_loss t spec =
-  Array.iter (Array.iter (apply_loss t.loss_rng spec)) t.up;
-  Array.iter (Array.iter (apply_loss t.loss_rng spec)) t.down
+  Array.iter (Array.iter (Fabric.apply_loss t.params spec)) t.up;
+  Array.iter (Array.iter (Fabric.apply_loss t.params spec)) t.down
 
-let set_peer_loss t spec =
-  t.peer_loss := spec;
-  List.iter
-    (fun (_, ch) -> apply_loss t.loss_rng spec ch)
-    (Det.bindings_sorted ~cmp:Det.pair_compare t.peer)
+let set_peer_loss t spec = Fabric.set_peer_loss t.fabric spec
 
 (* --- aggregate accounting ------------------------------------------------ *)
 
-let zero_stats : Edge_switch.stats =
-  {
-    packets_from_hosts = 0;
-    packets_delivered = 0;
-    encap_sent = 0;
-    flow_table_handled = 0;
-    lfib_handled = 0;
-    gfib_handled = 0;
-    gfib_duplicates = 0;
-    punted = 0;
-    fp_drops = 0;
-    arp_local_answered = 0;
-    arp_group_escalated = 0;
-    adverts_sent = 0;
-    keepalives_sent = 0;
-    misses_buffered = 0;
-    misses_replayed = 0;
-  }
-
-let switch_stats_sum t =
-  Array.fold_left
-    (fun (acc : Edge_switch.stats) sw ->
-      let s = Edge_switch.stats sw in
-      {
-        Edge_switch.packets_from_hosts =
-          acc.packets_from_hosts + s.packets_from_hosts;
-        packets_delivered = acc.packets_delivered + s.packets_delivered;
-        encap_sent = acc.encap_sent + s.encap_sent;
-        flow_table_handled = acc.flow_table_handled + s.flow_table_handled;
-        lfib_handled = acc.lfib_handled + s.lfib_handled;
-        gfib_handled = acc.gfib_handled + s.gfib_handled;
-        gfib_duplicates = acc.gfib_duplicates + s.gfib_duplicates;
-        punted = acc.punted + s.punted;
-        fp_drops = acc.fp_drops + s.fp_drops;
-        arp_local_answered = acc.arp_local_answered + s.arp_local_answered;
-        arp_group_escalated = acc.arp_group_escalated + s.arp_group_escalated;
-        adverts_sent = acc.adverts_sent + s.adverts_sent;
-        keepalives_sent = acc.keepalives_sent + s.keepalives_sent;
-        misses_buffered = acc.misses_buffered + s.misses_buffered;
-        misses_replayed = acc.misses_replayed + s.misses_replayed;
-      })
-    zero_stats t.switches
+let switch_stats_sum t = Fabric.switch_stats_sum t.fabric
 
 let ctrl_bytes_sent t =
-  let sum acc arr =
-    Array.fold_left (fun acc ch -> acc + Channel.bytes_sent ch) acc arr
-  in
-  let acc = Array.fold_left sum 0 t.up in
-  Array.fold_left sum acc t.down
+  let sum = Array.fold_left (fun acc ch -> acc + Channel.bytes_sent ch) in
+  Array.fold_left sum (Array.fold_left sum 0 t.up) t.down
 
 let reliability_stats t =
-  let acc =
-    Array.fold_left
-      (fun acc c -> Reliable.stats_add acc (Controller.reliable_stats c))
-      Reliable.stats_zero t.controllers
-  in
-  let acc =
-    Array.fold_left
-      (fun acc sw -> Reliable.stats_add acc (Edge_switch.reliable_stats sw))
-      acc t.switches
-  in
-  Array.fold_left
-    (fun acc m -> Reliable.stats_add acc (Member.reliable_stats m))
-    acc t.members
+  let sum f = Array.fold_left (fun acc x -> Reliable.stats_add acc (f x)) in
+  let acc = sum Controller.reliable_stats (Fabric.reliable_stats t.fabric) t.controllers in
+  sum Member.reliable_stats acc t.members
 
 let member_stats_sum t =
   Array.fold_left

@@ -1,6 +1,7 @@
 (** Whole-network wiring for a controller cluster.
 
-    Like {!Lazyctrl_core.Network} in lazy mode, but with [n_members]
+    Like {!Lazyctrl_core.Network} in lazy mode — the same
+    {!Lazyctrl_core.Fabric} data plane — but with [n_members]
     controller instances instead of one. Every member has its own pair of
     control channels to every switch (master spoke plus slave spokes used
     only for OAM probing), and the members are joined by a full mesh of

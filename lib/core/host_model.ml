@@ -98,11 +98,6 @@ let rec send_arp t (src : Host.t) target_ip ~attempt =
              (* Resolution failed: give up on the queued flows so a later
                 flow can start a fresh resolution. *)
              t.arp_failed <- t.arp_failed + 1;
-             if Option.is_some (Sys.getenv_opt "LAZYCTRL_DEBUG_ARP") then
-               Printf.eprintf "ARP-FAIL t=%.1fs src=h%d dst_ip=%s\n%!"
-                 (Time.to_float_sec (now t))
-                 (Ids.Host_id.to_int src.Host.id)
-                 (Ipv4.to_string target_ip);
              Hashtbl.remove t.pending key
            end))
 

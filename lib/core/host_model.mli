@@ -52,7 +52,6 @@ val flows_started : t -> int
 val flows_delivered : t -> int
 val arp_requests_sent : t -> int
 val resolutions_failed : t -> int
-(** Resolutions abandoned after the retry budget. Set the
-    [LAZYCTRL_DEBUG_ARP] environment variable to log each failure. *)
+(** Resolutions abandoned after the retry budget. *)
 
 val pending_resolutions : t -> int

@@ -9,21 +9,14 @@ open Lazyctrl_controller
 open Lazyctrl_baseline
 open Lazyctrl_metrics
 module Prng = Lazyctrl_util.Prng
-module Det = Lazyctrl_util.Det
 module Sid = Ids.Switch_id
 module Tracer = Lazyctrl_trace.Tracer
 module Wire = Lazyctrl_wire.Wire
 
-(* Every control-plane channel carries real bytes: messages are encoded
-   through the DESIGN.md §13 wire format at send and decoded back at
-   delivery, so the channels' byte counters (and the bytes/sec series
-   fed from them) measure the actual frames, not estimates.  The one
-   value-passing exception is the control-link relay detour in
+(* The OpenFlow baseline's channels are §13-framed too, with an empty
+   extension table; the lazy plane's channels come from {!Fabric}.  The
+   one value-passing exception is the control-link relay detour in
    [send_switch], which models a neighbour hand-off without a channel. *)
-let set_proto_codec ch =
-  Channel.set_codec ch ~encode:(Wire.encode Proto.wire_ext)
-    ~decode:(Wire.decode Proto.wire_ext)
-
 let set_unit_codec ch =
   Channel.set_codec ch ~encode:(Wire.encode Wire.unit_ext)
     ~decode:(Wire.decode Wire.unit_ext)
@@ -31,15 +24,11 @@ let set_unit_codec ch =
 type mode = Lazy | Openflow
 
 type lazy_plane = {
+  fabric : Fabric.t;
   controller : Controller.t;
-  switches : Edge_switch.t array;
   ctrl_up : Edge_switch.msg Channel.t array;   (* switch -> controller *)
   ctrl_down : Edge_switch.msg Channel.t array; (* controller -> switch *)
-  peer : (int * int, Edge_switch.msg Channel.t) Hashtbl.t;
-  relay : (int, Sid.t) Hashtbl.t; (* switch under control-link failover -> via *)
-  loss_rng : Prng.t; (* parent stream for per-channel loss sub-streams *)
-  peer_loss : Channel.loss_spec option ref;
-      (* current spec, inherited by lazily created peer channels *)
+  relayed : bool array; (* switch under control-link failover *)
 }
 
 type of_plane = {
@@ -71,202 +60,108 @@ let underlay t = t.underlay
 
 let mode t = match t.plane with Lazy_plane _ -> Lazy | Of_plane _ -> Openflow
 
-(* Fast-path latency of a packet that hits warm tables: two host ports
+(* Frame delivered on a host port: record latency measurements.  The
+   rest of a flow's packets hit warm tables, so each costs two host ports
    plus (for a remote destination) one underlay traversal. *)
-let fast_path_latency t ~src ~dst =
-  let two_ports = Time.scale t.params.Params.host_port_latency 2.0 in
-  if Sid.equal (Topology.location t.topo src) (Topology.location t.topo dst) then
-    two_ports
-  else Time.add two_ports t.params.Params.underlay_latency
-
-(* Frame delivered on a host port: dispatch to the host model and record
-   latency measurements. *)
-let host_delivery t host pkt =
-  match Host_model.deliver t.hosts ~to_:host pkt with
+let record_delivery ~params ~engine ~topo ~recorder = function
   | Host_model.Data_first meta ->
-      let lat = Time.diff (Engine.now t.engine) meta.Host_model.started in
-      Recorder.record_first_packet_latency t.recorder lat;
-      if meta.Host_model.packets > 1 then
-        Recorder.record_fast_path_latency t.recorder
+      let lat = Time.diff (Engine.now engine) meta.Host_model.started in
+      Recorder.record_first_packet_latency recorder lat;
+      if meta.Host_model.packets > 1 then begin
+        let two_ports = Time.scale params.Params.host_port_latency 2.0 in
+        let local =
+          Sid.equal
+            (Topology.location topo meta.Host_model.src)
+            (Topology.location topo meta.Host_model.dst)
+        in
+        Recorder.record_fast_path_latency recorder
           ~n:(meta.Host_model.packets - 1)
-          (fast_path_latency t ~src:meta.Host_model.src ~dst:meta.Host_model.dst)
+          (if local then two_ports
+           else Time.add two_ports params.Params.underlay_latency)
+      end
   | Host_model.Data_duplicate | Host_model.Arp_handled | Host_model.Not_for_host
     ->
       ()
 
-(* Attach (or clear) a loss model; the sub-stream is keyed by the channel
-   name, so the draw sequence of one channel never depends on another. *)
-let apply_loss loss_rng spec ch =
-  match spec with
-  | None -> Channel.clear_loss ch
-  | Some spec ->
-      Channel.set_loss ch ~rng:(Prng.named loss_rng ("loss:" ^ Channel.name ch)) spec
-
 let make_lazy_plane ~params ~controller_config ~tracer ~engine ~topo ~underlay
-    ~deliver_local =
+    ~on_delivery =
   let n = Topology.n_switches topo in
-  let rng = Prng.create params.Params.seed in
-  let loss_rng = Prng.named rng "channel-loss" in
-  let peer_loss = ref params.Params.peer_loss in
-  let switches : Edge_switch.t option array = Array.make n None in
-  let get_switch i = Option.get switches.(i) in
-  let ctrl_up =
+  let ctrl name =
     Array.init n (fun i ->
-        let ch =
-          Channel.create ~strict:true engine
-            ~latency:params.Params.control_link_latency
-            ~name:(Printf.sprintf "ctrl-up-%d" i) ()
-        in
-        set_proto_codec ch;
-        apply_loss loss_rng params.Params.control_loss ch;
-        ch)
+        Fabric.channel params engine ~latency:params.Params.control_link_latency
+          ~loss:params.Params.control_loss (Printf.sprintf name i))
   in
-  let ctrl_down =
-    Array.init n (fun i ->
-        let ch =
-          Channel.create ~strict:true engine
-            ~latency:params.Params.control_link_latency
-            ~name:(Printf.sprintf "ctrl-down-%d" i) ()
-        in
-        set_proto_codec ch;
-        apply_loss loss_rng params.Params.control_loss ch;
-        ch)
+  let ctrl_up = ctrl "ctrl-up-%d" and ctrl_down = ctrl "ctrl-down-%d" in
+  let fabric =
+    Fabric.create ~tracer ~params ~engine ~topo ~underlay
+      ~to_controller:(fun i -> ctrl_up.(i))
+      ~on_delivery ()
   in
-  let peer : (int * int, Edge_switch.msg Channel.t) Hashtbl.t =
-    Hashtbl.create 1024
-  in
-  let peer_channel src dst =
-    let key = (Sid.to_int src, Sid.to_int dst) in
-    match Hashtbl.find_opt peer key with
-    | Some ch -> ch
-    | None ->
-        let ch =
-          Channel.create ~strict:true engine
-            ~latency:params.Params.peer_link_latency
-            ~name:(Printf.sprintf "peer-%d-%d" (fst key) (snd key))
-            ()
-        in
-        set_proto_codec ch;
-        apply_loss loss_rng !peer_loss ch;
-        Channel.set_receiver ch (fun msg ->
-            Edge_switch.handle_peer_message (get_switch (snd key)) ~from:src msg);
-        Hashtbl.replace peer key ch;
-        ch
-  in
-  let relay = Hashtbl.create 8 in
+  let switch i = Fabric.switch fabric (Sid.of_int i) in
+  let relayed = Array.make n false in
   let service =
     Service_queue.create engine ~service_time:params.Params.controller_service
   in
-  let controller_ref = ref None in
   let controller_env =
     {
       Controller.engine;
       send_switch =
         (fun sw msg ->
           let i = Sid.to_int sw in
-          match Hashtbl.find_opt relay i with
-          | Some via when not (Channel.is_up ctrl_down.(i)) ->
-              (* Controller → neighbour over its control link, neighbour →
-                 switch over the peer link; modelled as the combined
-                 latency with direct hand-off. *)
-              let delay =
-                Time.add params.Params.control_link_latency
-                  params.Params.peer_link_latency
-              in
-              ignore via;
-              ignore
-                (Engine.schedule engine ~after:delay (fun () ->
-                     Edge_switch.handle_controller_message (get_switch i) msg))
-          | _ -> ignore (Channel.send ctrl_down.(i) msg));
+          if relayed.(i) && not (Channel.is_up ctrl_down.(i)) then
+            (* Controller → neighbour over its control link, neighbour →
+               switch over the peer link; modelled as the combined
+               latency with direct hand-off. *)
+            let delay =
+              Time.add params.Params.control_link_latency
+                params.Params.peer_link_latency
+            in
+            ignore
+              (Engine.schedule engine ~after:delay (fun () ->
+                   Edge_switch.handle_controller_message (switch i) msg))
+          else ignore (Channel.send ctrl_down.(i) msg));
       reboot_switch =
         (fun sw ->
           ignore
             (Engine.schedule engine ~after:params.Params.reboot_delay (fun () ->
-                 Edge_switch.set_up (get_switch (Sid.to_int sw)) true)));
+                 Edge_switch.set_up (Fabric.switch fabric sw) true)));
       request_relay =
         (fun sw ~via ->
-          let i = Sid.to_int sw in
-          (match via with
-          | Some v -> Hashtbl.replace relay i v
-          | None -> Hashtbl.remove relay i);
-          Edge_switch.set_control_relay (get_switch i) via);
-      rng = Prng.named rng "controller";
+          relayed.(Sid.to_int sw) <- Option.is_some via;
+          Edge_switch.set_control_relay (Fabric.switch fabric sw) via);
+      rng = Prng.named (Prng.create params.Params.seed) "controller";
     }
   in
   let controller =
     Controller.create ~tracer controller_env controller_config ~n_switches:n
   in
-  controller_ref := Some controller;
-  Array.iteri
-    (fun i ch ->
-      Channel.set_receiver ch (fun msg ->
-          Service_queue.submit service (fun () ->
-              Controller.handle_message controller ~from:(Sid.of_int i) msg)))
-    ctrl_up;
   for i = 0 to n - 1 do
-    let self = Sid.of_int i in
-    let env =
-      {
-        Edge_switch.engine;
-        send_controller = (fun msg -> Channel.send ctrl_up.(i) msg);
-        send_peer =
-          (fun p msg ->
-            if not (Sid.equal p self) then
-              ignore (Channel.send (peer_channel self p) msg));
-        send_underlay = (fun pkt -> ignore (Underlay.send underlay pkt));
-        deliver_local;
-        underlay_ip_of = (fun sw -> Topology.underlay_ip topo sw);
-      }
-    in
-    let sw =
-      Edge_switch.create ~tracer
-        ~rng:(Prng.named rng "switch-sessions")
-        env params.Params.switch_config ~self
-    in
-    switches.(i) <- Some sw;
-    Underlay.register underlay (Topology.underlay_ip topo self) (fun pkt ->
-        Edge_switch.handle_underlay sw pkt);
-    Array.iteri
-      (fun j ch ->
-        if j = i then
-          Channel.set_receiver ch (fun msg ->
-              Edge_switch.handle_controller_message sw msg))
-      ctrl_down
+    Channel.set_receiver ctrl_up.(i) (fun msg ->
+        Service_queue.submit service (fun () ->
+            Controller.handle_message controller ~from:(Sid.of_int i) msg));
+    Channel.set_receiver ctrl_down.(i)
+      (Edge_switch.handle_controller_message (switch i))
   done;
-  {
-    controller;
-    switches = Array.map Option.get switches;
-    ctrl_up;
-    ctrl_down;
-    peer;
-    relay;
-    loss_rng;
-    peer_loss;
-  }
+  { fabric; controller; ctrl_up; ctrl_down; relayed }
 
-let make_of_plane ~params ~of_config ~engine ~topo ~underlay ~deliver_local =
+let make_of_plane ~params ~of_config ~engine ~topo ~underlay ~on_delivery =
   let n = Topology.n_switches topo in
-  let switches : Of_switch.t option array = Array.make n None in
-  let ctrl_up =
+  let switches = ref [||] in
+  let hosts, deliver_local =
+    Fabric.host_side ~params ~engine ~topo ~on_delivery ~from_host:(fun i host pkt ->
+        Of_switch.handle_from_host !switches.(i) host pkt)
+  in
+  let ctrl name =
     Array.init n (fun i ->
         let ch =
           Channel.create ~strict:true engine
             ~latency:params.Params.control_link_latency
-            ~name:(Printf.sprintf "of-ctrl-up-%d" i) ()
+            ~name:(Printf.sprintf name i) ()
         in
         set_unit_codec ch;
         ch)
   in
-  let ctrl_down =
-    Array.init n (fun i ->
-        let ch =
-          Channel.create ~strict:true engine
-            ~latency:params.Params.control_link_latency
-            ~name:(Printf.sprintf "of-ctrl-down-%d" i) ()
-        in
-        set_unit_codec ch;
-        ch)
-  in
+  let ctrl_up = ctrl "of-ctrl-up-%d" and ctrl_down = ctrl "of-ctrl-down-%d" in
   let service =
     Service_queue.create engine ~service_time:params.Params.of_controller_service
   in
@@ -283,7 +178,7 @@ let make_of_plane ~params ~of_config ~engine ~topo ~underlay ~deliver_local =
           Service_queue.submit service (fun () ->
               Of_controller.handle_message controller ~from:(Sid.of_int i) msg)))
     ctrl_up;
-  for i = 0 to n - 1 do
+  let make_switch i =
     let self = Sid.of_int i in
     let env =
       {
@@ -295,18 +190,23 @@ let make_of_plane ~params ~of_config ~engine ~topo ~underlay ~deliver_local =
       }
     in
     let sw = Of_switch.create env ~flow_table_capacity:params.Params.flow_table_capacity in
-    switches.(i) <- Some sw;
     Underlay.register underlay (Topology.underlay_ip topo self) (fun pkt ->
         Of_switch.handle_underlay sw pkt);
-    Channel.set_receiver ctrl_down.(i) (fun msg ->
-        Of_switch.handle_controller_message sw msg)
-  done;
-  {
-    of_controller = controller;
-    of_switches = Array.map Option.get switches;
-    of_ctrl_up = ctrl_up;
-    of_ctrl_down = ctrl_down;
-  }
+    Channel.set_receiver ctrl_down.(i) (Of_switch.handle_controller_message sw);
+    sw
+  in
+  switches := Array.init n make_switch;
+  List.iter
+    (fun (h : Host.t) ->
+      Of_switch.attach_host !switches.(Sid.to_int (Topology.location topo h.id)) h)
+    (Topology.hosts topo);
+  ( {
+      of_controller = controller;
+      of_switches = !switches;
+      of_ctrl_up = ctrl_up;
+      of_ctrl_down = ctrl_down;
+    },
+    hosts )
 
 let create ?(params = Params.default)
     ?(controller_config = Controller.default_config)
@@ -317,58 +217,21 @@ let create ?(params = Params.default)
     Underlay.create engine ~latency:params.Params.underlay_latency ()
   in
   let recorder = Recorder.create engine ~horizon () in
-  (* The host model's send callback needs the plane; tie the knot with a
-     forward reference. *)
-  let send_ref = ref (fun (_ : Host.t) (_ : Packet.t) -> ()) in
-  let hosts =
-    Host_model.create engine
-      ~send:(fun h p -> !send_ref h p)
-      ~arp_ttl:params.Params.arp_cache_ttl
-      ~stack_delay:params.Params.host_stack_delay
-  in
-  let t_ref = ref None in
-  let deliver_local host pkt =
-    match !t_ref with
-    | Some t ->
-        ignore
-          (Engine.schedule engine ~after:params.Params.host_port_latency
-             (fun () -> host_delivery t host pkt))
-    | None -> ()
-  in
-  let plane =
+  let on_delivery = record_delivery ~params ~engine ~topo ~recorder in
+  let plane, hosts =
     match mode with
     | Lazy ->
-        Lazy_plane
-          (make_lazy_plane ~params ~controller_config ~tracer ~engine ~topo
-             ~underlay ~deliver_local)
+        let p =
+          make_lazy_plane ~params ~controller_config ~tracer ~engine ~topo
+            ~underlay ~on_delivery
+        in
+        (Lazy_plane p, Fabric.hosts p.fabric)
     | Openflow ->
-        Of_plane
-          (make_of_plane ~params ~of_config ~engine ~topo ~underlay
-             ~deliver_local)
+        let p, hosts =
+          make_of_plane ~params ~of_config ~engine ~topo ~underlay ~on_delivery
+        in
+        (Of_plane p, hosts)
   in
-  let t = { params; engine; tracer; topo; underlay; recorder; hosts; plane } in
-  t_ref := Some t;
-  (* Host frames enter the network at the host's current edge switch after
-     the port latency. *)
-  (send_ref :=
-     fun host pkt ->
-       let loc = Topology.location topo host.Host.id in
-       ignore
-         (Engine.schedule engine ~after:params.Params.host_port_latency
-            (fun () ->
-              match t.plane with
-              | Lazy_plane p ->
-                  Edge_switch.handle_from_host p.switches.(Sid.to_int loc) host pkt
-              | Of_plane p ->
-                  Of_switch.handle_from_host p.of_switches.(Sid.to_int loc) host pkt)));
-  (* Attach every host to its switch. *)
-  List.iter
-    (fun (h : Host.t) ->
-      let loc = Sid.to_int (Topology.location topo h.id) in
-      match t.plane with
-      | Lazy_plane p -> Edge_switch.attach_host p.switches.(loc) h
-      | Of_plane p -> Of_switch.attach_host p.of_switches.(loc) h)
-    (Topology.hosts topo);
   (* Wire measurement taps. *)
   (* The ctrl-bytes series counts controller-facing channels only (both
      directions); peer links keep their own per-channel byte counters but
@@ -381,7 +244,7 @@ let create ?(params = Params.default)
         Recorder.on_control_bytes recorder n;
         Tracer.add_ctrl_bytes tracer n)
   in
-  (match t.plane with
+  (match plane with
   | Lazy_plane p ->
       Array.iter tap_ctrl_bytes p.ctrl_up;
       Array.iter tap_ctrl_bytes p.ctrl_down;
@@ -394,7 +257,7 @@ let create ?(params = Params.default)
       Array.iter tap_ctrl_bytes p.of_ctrl_down;
       Of_controller.set_request_hook p.of_controller (fun () ->
           Recorder.on_controller_request recorder));
-  t
+  { params; engine; tracer; topo; underlay; recorder; hosts; plane }
 
 (* A placement-derived prior intensity: switches sharing tenants will
    probably exchange traffic proportionally to the co-located VM counts. *)
@@ -455,7 +318,7 @@ let of_controller t =
 
 let edge_switch t sw =
   match t.plane with
-  | Lazy_plane p -> Some p.switches.(Sid.to_int sw)
+  | Lazy_plane p -> Some (Fabric.switch p.fabric sw)
   | Of_plane _ -> None
 
 let of_switch t sw =
@@ -463,56 +326,20 @@ let of_switch t sw =
   | Of_plane p -> Some p.of_switches.(Sid.to_int sw)
   | Lazy_plane _ -> None
 
-let zero_stats : Edge_switch.stats =
-  {
-    packets_from_hosts = 0;
-    packets_delivered = 0;
-    encap_sent = 0;
-    flow_table_handled = 0;
-    lfib_handled = 0;
-    gfib_handled = 0;
-    gfib_duplicates = 0;
-    punted = 0;
-    fp_drops = 0;
-    arp_local_answered = 0;
-    arp_group_escalated = 0;
-    adverts_sent = 0;
-    keepalives_sent = 0;
-    misses_buffered = 0;
-    misses_replayed = 0;
-  }
+let live_switches t =
+  match t.plane with
+  | Lazy_plane p -> Fabric.live_switches p.fabric
+  | Of_plane _ -> []
 
 let switch_stats_sum t =
   match t.plane with
-  | Of_plane _ -> zero_stats
-  | Lazy_plane p ->
-      Array.fold_left
-        (fun (acc : Edge_switch.stats) sw ->
-          let s = Edge_switch.stats sw in
-          {
-            Edge_switch.packets_from_hosts =
-              acc.packets_from_hosts + s.packets_from_hosts;
-            packets_delivered = acc.packets_delivered + s.packets_delivered;
-            encap_sent = acc.encap_sent + s.encap_sent;
-            flow_table_handled = acc.flow_table_handled + s.flow_table_handled;
-            lfib_handled = acc.lfib_handled + s.lfib_handled;
-            gfib_handled = acc.gfib_handled + s.gfib_handled;
-            gfib_duplicates = acc.gfib_duplicates + s.gfib_duplicates;
-            punted = acc.punted + s.punted;
-            fp_drops = acc.fp_drops + s.fp_drops;
-            arp_local_answered = acc.arp_local_answered + s.arp_local_answered;
-            arp_group_escalated = acc.arp_group_escalated + s.arp_group_escalated;
-            adverts_sent = acc.adverts_sent + s.adverts_sent;
-            keepalives_sent = acc.keepalives_sent + s.keepalives_sent;
-            misses_buffered = acc.misses_buffered + s.misses_buffered;
-            misses_replayed = acc.misses_replayed + s.misses_replayed;
-          })
-        zero_stats p.switches
+  | Of_plane _ -> Edge_switch.stats_zero
+  | Lazy_plane p -> Fabric.switch_stats_sum p.fabric
 
 let deploy_host t host ~at =
   Topology.add_host t.topo host ~at;
   match t.plane with
-  | Lazy_plane p -> Edge_switch.attach_host p.switches.(Sid.to_int at) host
+  | Lazy_plane p -> Edge_switch.attach_host (Fabric.switch p.fabric at) host
   | Of_plane p -> Of_switch.attach_host p.of_switches.(Sid.to_int at) host
 
 let migrate_host t hid ~to_ =
@@ -520,8 +347,8 @@ let migrate_host t hid ~to_ =
   let from = Topology.migrate t.topo hid ~to_ in
   match t.plane with
   | Lazy_plane p ->
-      Edge_switch.detach_host p.switches.(Sid.to_int from) hid;
-      Edge_switch.attach_host p.switches.(Sid.to_int to_) host
+      Edge_switch.detach_host (Fabric.switch p.fabric from) hid;
+      Edge_switch.attach_host (Fabric.switch p.fabric to_) host
   | Of_plane p ->
       Of_switch.detach_host p.of_switches.(Sid.to_int from) host;
       Of_switch.attach_host p.of_switches.(Sid.to_int to_) host
@@ -530,13 +357,8 @@ let migrate_host t hid ~to_ =
 
 let with_lazy t f = match t.plane with Lazy_plane p -> f p | Of_plane _ -> ()
 
-let fail_switch t sw =
-  with_lazy t (fun p -> Edge_switch.set_up p.switches.(Sid.to_int sw) false)
-
-let repair_switch t sw =
-  with_lazy t (fun p ->
-      let es = p.switches.(Sid.to_int sw) in
-      if not (Edge_switch.is_up es) then Edge_switch.set_up es true)
+let fail_switch t sw = with_lazy t (fun p -> Fabric.fail_switch p.fabric sw)
+let repair_switch t sw = with_lazy t (fun p -> Fabric.repair_switch p.fabric sw)
 
 let fail_control_link t sw =
   with_lazy t (fun p ->
@@ -548,47 +370,22 @@ let repair_control_link t sw =
       let i = Sid.to_int sw in
       Channel.repair p.ctrl_up.(i);
       Channel.repair p.ctrl_down.(i);
-      Hashtbl.remove p.relay i;
-      Edge_switch.set_control_relay p.switches.(i) None)
+      p.relayed.(i) <- false;
+      Edge_switch.set_control_relay (Fabric.switch p.fabric sw) None)
 
-let peer_key a b = (Sid.to_int a, Sid.to_int b)
-
-let fail_peer_key t (p : lazy_plane) key =
-  match Hashtbl.find_opt p.peer key with
-  | Some ch -> Channel.fail ch
-  | None ->
-      (* Create-and-fail so future sends on this pair also drop. *)
-      let ch =
-        Channel.create ~strict:true t.engine
-          ~latency:t.params.Params.peer_link_latency
-          ~name:(Printf.sprintf "peer-%d-%d" (fst key) (snd key))
-          ()
-      in
-      set_proto_codec ch;
-      apply_loss p.loss_rng !(p.peer_loss) ch;
-      Channel.set_receiver ch (fun msg ->
-          Edge_switch.handle_peer_message
-            p.switches.(snd key)
-            ~from:(Sid.of_int (fst key))
-            msg);
-      Channel.fail ch;
-      Hashtbl.replace p.peer key ch
+(* A pair that never talked gets its channel created here, so future
+   sends on it drop too. *)
+let fail_peer_link_directed t ~src ~dst =
+  with_lazy t (fun p -> Channel.fail (Fabric.peer_channel p.fabric ~src ~dst))
 
 let fail_peer_link t a b =
-  with_lazy t (fun p ->
-      List.iter (fail_peer_key t p) [ peer_key a b; peer_key b a ])
-
-let fail_peer_link_directed t ~src ~dst =
-  with_lazy t (fun p -> fail_peer_key t p (peer_key src dst))
+  fail_peer_link_directed t ~src:a ~dst:b;
+  fail_peer_link_directed t ~src:b ~dst:a
 
 let repair_peer_link t a b =
   with_lazy t (fun p ->
-      List.iter
-        (fun key ->
-          match Hashtbl.find_opt p.peer key with
-          | Some ch -> Channel.repair ch
-          | None -> ())
-        [ peer_key a b; peer_key b a ])
+      Channel.repair (Fabric.peer_channel p.fabric ~src:a ~dst:b);
+      Channel.repair (Fabric.peer_channel p.fabric ~src:b ~dst:a))
 
 let fail_data_path t ~src ~dst ~notify =
   Underlay.fail_path t.underlay
@@ -606,15 +403,11 @@ let repair_data_path t ~src ~dst =
 
 let set_control_loss t spec =
   with_lazy t (fun p ->
-      Array.iter (apply_loss p.loss_rng spec) p.ctrl_up;
-      Array.iter (apply_loss p.loss_rng spec) p.ctrl_down)
+      Array.iter (Fabric.apply_loss t.params spec) p.ctrl_up;
+      Array.iter (Fabric.apply_loss t.params spec) p.ctrl_down)
 
 let set_peer_loss t spec =
-  with_lazy t (fun p ->
-      p.peer_loss := spec;
-      List.iter
-        (fun (_, ch) -> apply_loss p.loss_rng spec ch)
-        (Det.bindings_sorted ~cmp:Det.pair_compare p.peer))
+  with_lazy t (fun p -> Fabric.set_peer_loss p.fabric spec)
 
 (* --- aggregate channel / reliability accounting --------------------------- *)
 
@@ -656,10 +449,7 @@ let link_stats t =
   | Lazy_plane p ->
       let acc = Array.fold_left link_add link_zero p.ctrl_up in
       let acc = Array.fold_left link_add acc p.ctrl_down in
-      List.fold_left
-        (fun acc (_, ch) -> link_add acc ch)
-        acc
-        (Det.bindings_sorted ~cmp:Det.pair_compare p.peer)
+      List.fold_left link_add acc (Fabric.peer_channels p.fabric)
   | Of_plane p ->
       let acc = Array.fold_left link_add link_zero p.of_ctrl_up in
       Array.fold_left link_add acc p.of_ctrl_down
@@ -680,7 +470,6 @@ let reliability_stats t =
   match t.plane with
   | Of_plane _ -> Reliable.stats_zero
   | Lazy_plane p ->
-      Array.fold_left
-        (fun acc sw -> Reliable.stats_add acc (Edge_switch.reliable_stats sw))
+      Reliable.stats_add
         (Controller.reliable_stats p.controller)
-        p.switches
+        (Fabric.reliable_stats p.fabric)

@@ -73,6 +73,10 @@ val of_controller : t -> Of_controller.t option
 val edge_switch : t -> Ids.Switch_id.t -> Edge_switch.t option
 val of_switch : t -> Ids.Switch_id.t -> Of_switch.t option
 
+val live_switches : t -> (Ids.Switch_id.t * Edge_switch.t) list
+(** Powered-on edge switches in ascending id order (empty in OpenFlow
+    mode). *)
+
 val switch_stats_sum : t -> Edge_switch.stats
 (** Aggregate over all edge switches (zeros in OpenFlow mode). *)
 

@@ -119,6 +119,8 @@ val lfib : t -> Lfib.t
 val gfib : t -> Gfib.t
 val flow_table : t -> Flow_table.t
 val stats : t -> stats
+val stats_zero : stats
+val stats_add : stats -> stats -> stats
 
 val control_link_suspect : t -> bool
 (** True between a failed control-link send and the reconnect re-sync. *)

@@ -251,7 +251,7 @@ let test_degradation_and_reconnect () =
   let net, topo = make_net () in
   check Alcotest.int "every switch live after bootstrap"
     (Lazyctrl_topo.Topology.n_switches topo)
-    (List.length (Invariant.live_switches net));
+    (List.length (Network.live_switches net));
   let controller = Option.get (Network.lazy_controller net) in
   let h1, h2 = cross_group_pair topo controller in
   let sw1 = Lazyctrl_topo.Topology.location topo h1.Host.id in

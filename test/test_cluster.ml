@@ -99,17 +99,7 @@ let test_double_run_byte_identical () =
 (* --- direct Plane tests ---------------------------------------------------- *)
 
 let quick_controller_config =
-  {
-    Controller.default_config with
-    Controller.group_size_limit = 4;
-    sync_period = Time.of_sec 10;
-    keepalive_period = Time.of_sec 2;
-    echo_period = Time.of_sec 5;
-    echo_timeout = Time.of_sec 12;
-    daemon_period = Time.of_sec 5;
-    incremental_updates = false;
-    reliable_state = true;
-  }
+  { (Runner.quick_controller_config true) with Controller.group_size_limit = 4 }
 
 let make_plane ~seed =
   let topo =
@@ -249,6 +239,80 @@ let test_coord_wire_format () =
   check Alcotest.bool "envelope prices above its payload" true
     (Coord.size_estimate boxed > Coord.size_estimate claimed)
 
+(* --- one data plane, two control sides ----------------------------------- *)
+
+(* The cluster chaos setting with no faults and no loss: one placement and
+   one flow list, spread over a 40 s window after a 30 s warm-up, run once
+   on the single-controller Network and once on a 3-member Plane. *)
+let delivered_on_both ~seed =
+  let rng = Prng.create seed in
+  let topo () =
+    Placement.generate ~rng:(Prng.named rng "topo")
+      (Runner.placement_spec ~n_switches:16 ~n_tenants:6)
+  in
+  let flows =
+    let frng = Prng.named rng "flows" and topo = topo () in
+    List.concat_map
+      (fun tid ->
+        let hosts = Array.of_list (Topology.tenant_hosts topo tid) in
+        if Array.length hosts < 2 then []
+        else
+          List.filter_map
+            (fun _ ->
+              let a = Prng.choose frng hosts in
+              let b = Prng.choose frng hosts in
+              let after = Time.of_ms (Prng.int frng 40_000) in
+              if Ids.Host_id.equal a.Host.id b.Host.id then None
+              else Some (after, a.Host.id, b.Host.id))
+            [ 1; 2; 3 ])
+      (Topology.tenants topo)
+  in
+  let _, params = Runner.lossy_params ~seed ~loss:0.0 ~dup:0.0 ~reliable:true in
+  let drive engine ~run ~start_flow =
+    run ~until:(Time.of_sec 30);
+    List.iter
+      (fun (after, src, dst) ->
+        ignore
+          (Engine.schedule engine ~after (fun () ->
+               start_flow ~src ~dst ~bytes:20_000 ~packets:10)))
+      flows;
+    run ~until:(Time.of_min 3)
+  in
+  let module N = Lazyctrl_core.Network in
+  let net =
+    N.create ~params ~controller_config:quick_controller_config ~mode:N.Lazy
+      ~topo:(topo ()) ~horizon:(Time.of_hour 1) ()
+  in
+  N.bootstrap net ();
+  drive (N.engine net) ~run:(N.run net) ~start_flow:(N.start_flow net);
+  let plane =
+    Plane.create ~params ~controller_config:quick_controller_config
+      ~n_members:3 ~topo:(topo ()) ()
+  in
+  Plane.bootstrap plane;
+  drive (Plane.engine plane) ~run:(Plane.run plane)
+    ~start_flow:(Plane.start_flow plane);
+  (List.length flows, N.host_model net, Plane.host_model plane)
+
+let test_same_delivery_on_both_control_sides () =
+  let module H = Lazyctrl_core.Host_model in
+  List.iter
+    (fun seed ->
+      let n, single, cluster = delivered_on_both ~seed in
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      check Alcotest.bool (label "flows drawn") true (n > 0);
+      check Alcotest.int (label "same flows started") (H.flows_started single)
+        (H.flows_started cluster);
+      List.iter
+        (fun (side, hm) ->
+          check Alcotest.int
+            (label (side ^ " delivers every flow"))
+            (H.flows_started hm) (H.flows_delivered hm);
+          check Alcotest.int (label (side ^ " resolves every ARP")) 0
+            (H.resolutions_failed hm))
+        [ ("network", single); ("plane", cluster) ])
+    [ 1; 2; 3; 42 ]
+
 let () =
   Alcotest.run "cluster"
     [
@@ -270,4 +334,9 @@ let () =
         ] );
       ( "coord",
         [ Alcotest.test_case "wire format accounting" `Quick test_coord_wire_format ] );
+      ( "equivalence",
+        [
+          Alcotest.test_case "Network and Plane deliver the same flows" `Slow
+            test_same_delivery_on_both_control_sides;
+        ] );
     ]

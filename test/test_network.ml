@@ -260,6 +260,24 @@ let test_lazy_data_path_detour () =
   Network.run net ~until:(Time.add (Engine.now (Network.engine net)) (Time.of_sec 2));
   check Alcotest.int "detoured delivery" 1 (run_flow net ~src:(hid 0) ~dst:(hid 2))
 
+let test_lazy_peer_link_create_and_fail () =
+  let net =
+    Network.create ~controller_config:quick_config ~mode:Network.Lazy
+      ~topo:(small_topo ()) ~horizon:(Time.of_hour 1) ()
+  in
+  let dropped () = (Network.link_stats net).Network.links_dropped in
+  (* No peer channel exists yet: failing the pair creates it down. *)
+  Network.fail_peer_link net (sid 0) (sid 1);
+  Network.bootstrap net ();
+  Network.run net ~until:(Time.of_sec 20);
+  ignore (run_flow net ~src:(hid 0) ~dst:(hid 2));
+  let at_repair = dropped () in
+  check Alcotest.bool "sends on the failed pair drop" true (at_repair > 0);
+  Network.repair_peer_link net (sid 0) (sid 1);
+  Network.run net ~until:(Time.add (Engine.now (Network.engine net)) (Time.of_sec 20));
+  check Alcotest.int "delivery resumes" 1 (run_flow net ~src:(hid 1) ~dst:(hid 3));
+  check Alcotest.int "nothing dropped after repair" at_repair (dropped ())
+
 let test_deploy_host () =
   let net = make () in
   let fresh = Host.make ~id:(hid 99) ~tenant:(tid 0) in
@@ -350,6 +368,8 @@ let () =
           Alcotest.test_case "VM migration" `Quick test_lazy_migration_end_to_end;
           Alcotest.test_case "switch failover" `Quick test_lazy_switch_failover_end_to_end;
           Alcotest.test_case "data-path detour" `Quick test_lazy_data_path_detour;
+          Alcotest.test_case "peer link create-and-fail" `Quick
+            test_lazy_peer_link_create_and_fail;
           Alcotest.test_case "deploy host" `Quick test_deploy_host;
         ] );
       ( "openflow end-to-end",
