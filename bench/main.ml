@@ -412,6 +412,67 @@ let perf_gfib_full_sync () =
   measure "gfib-full-sync-unchanged" (perf_scale 400_000) (keys 1000, keys 1000);
   measure "gfib-full-sync-changed" (perf_scale 40_000) (keys 1000, keys 2000)
 
+(* flow-table-install: steady-state installs into a table shaped like a
+   regroup's Appendix B preload — 800 priority-5 rules pinning one
+   dst_mac each, with a hard timeout — mixed with priority-10 exact
+   pairs on an idle timeout.  Per four ops: two preload re-installs
+   (same-match replacements), one new exact pair and one re-install of
+   that pair.  The clock advances 1 ms per op: preloads come back every
+   1.6 s and so outlive their 2 s timeout only as stale expiry keys,
+   while unused pairs idle out after 1 s, so every sweep has work.  The
+   entries are built once, outside the measured closure, and one table
+   spans the reps so the warmup rep fills it. *)
+let perf_flow_table_install () =
+  let module Flow_table = Lazyctrl_openflow.Flow_table in
+  let module Ofmatch = Lazyctrl_openflow.Ofmatch in
+  let module Time = Lazyctrl_sim.Time in
+  let n = perf_scale 200_000 in
+  let n_preload = 800 and n_src = 64 in
+  let mac i = Lazyctrl_net.Mac.of_host_id i in
+  let rule priority ofmatch ~idle ~hard =
+    {
+      Flow_table.priority;
+      ofmatch;
+      actions = [ Lazyctrl_openflow.Action.Drop ];
+      idle_timeout = idle;
+      hard_timeout = hard;
+      cookie = priority;
+    }
+  in
+  let preloads =
+    Array.init n_preload (fun d ->
+        rule 5
+          { Ofmatch.any with dst_mac = Some (mac d) }
+          ~idle:None ~hard:(Some (Time.of_sec 2)))
+  in
+  let pairs =
+    Array.init n_preload (fun d ->
+        rule 10
+          (Ofmatch.exact_pair ~src:(mac (n_preload + (d mod n_src))) ~dst:(mac d))
+          ~idle:(Some (Time.of_sec 1)) ~hard:None)
+  in
+  let table = Flow_table.create () in
+  let now = ref Time.zero in
+  let step = Time.of_ms 1 in
+  let i = ref 0 in
+  let workload () =
+    for _ = 1 to n do
+      let k = !i in
+      let g = k lsr 2 in
+      let e =
+        match k land 3 with
+        | 0 | 1 -> Array.unsafe_get preloads (((2 * g) + (k land 1)) mod n_preload)
+        | _ -> Array.unsafe_get pairs (g mod n_preload)
+      in
+      Flow_table.install table ~now:!now e;
+      now := Time.add !now step;
+      i := k + 1
+    done
+  in
+  perf_record
+    (Perf.Measure.run ~name:"flow-table-install" ~reps:(perf_reps ()) ~ops_per_rep:n
+       workload)
+
 (* packet-replay: end-to-end — a small lazy-mode network, per-tenant
    traffic, everything from ARP resolution through G-FIB encap to
    delivery.  Ops are delivered packets; events are engine firings. *)
@@ -601,7 +662,7 @@ let perf_hp_engine_step () =
    minutes, so ARP resolution, learning and grouping are amortized away
    by the sizing run and the measured reps ride the L-FIB/G-FIB fast
    path.  This probe deliberately carries the allowlisted H001 residue
-   (packet values, flow-table hits) — its budget in HOTPATH_budget is
+   (packet values) — its budget in HOTPATH_budget is
    nonzero and documents that cost until the int-packed refactor. *)
 let perf_hp_edge_datapath () =
   let module Time = Lazyctrl_sim.Time in
@@ -819,6 +880,7 @@ let t_perf () =
   perf_lfib_lookup ();
   perf_gfib_probe ();
   perf_gfib_full_sync ();
+  perf_flow_table_install ();
   perf_wire_encode ();
   perf_wire_decode ();
   perf_buffered_punt ();

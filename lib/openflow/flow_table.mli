@@ -5,8 +5,21 @@
     later installation, like Open vSwitch). Entries expire by idle or hard
     timeout; expiry is checked lazily at lookup and eagerly via {!sweep}.
     A capacity bound models limited TCAM space: installing into a full
-    table evicts the soonest-to-expire lowest-priority entry and counts an
-    eviction. *)
+    table evicts the lowest-priority entry, least recently used among
+    those (ties go to the newest install), and counts an eviction.
+
+    Costs. Entries sit in buckets keyed by their pinned [dst_mac], each
+    sorted by priority then installation order, plus one list of entries
+    that leave [dst_mac] wild. {!lookup} scans only the packet's
+    destination bucket and that list, and returns an option built at
+    install, so a hit allocates nothing. {!install} touches only its own
+    bucket: replacement and ordered insertion cost the bucket's length.
+    Timeouts live in a lazy expiry heap keyed by deadline, so {!sweep}
+    (run by every install) pops only the keys that have come due —
+    expired entries, entries whose idle deadline moved, keys of removed
+    entries — at O(log n) each, and costs nothing when none is due.
+    Eviction, {!remove_matching} with a wild [dst_mac], {!entries} and
+    {!packet_count} scan the whole table. *)
 
 open Lazyctrl_sim
 

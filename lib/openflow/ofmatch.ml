@@ -100,17 +100,29 @@ let subsumes a b =
   && covers Int.equal a.dst_port b.dst_port
   && (a.arp_only = false || b.arp_only = true)
 
-let equal = ( = )
+let equal a b =
+  Option.equal Mac.equal a.src_mac b.src_mac
+  && Option.equal Mac.equal a.dst_mac b.dst_mac
+  && Option.equal Int.equal a.vlan b.vlan
+  && Option.equal Ipv4.equal a.src_ip b.src_ip
+  && Option.equal Ipv4.equal a.dst_ip b.dst_ip
+  && Option.equal Int.equal a.protocol b.protocol
+  && Option.equal Int.equal a.src_port b.src_port
+  && Option.equal Int.equal a.dst_port b.dst_port
+  && Bool.equal a.arp_only b.arp_only
 
 let pp fmt t =
   let field name pp_v fmt = function
     | None -> ()
     | Some v -> Format.fprintf fmt " %s=%a" name pp_v v
   in
-  Format.fprintf fmt "{match%a%a%a%a%a%s}"
+  Format.fprintf fmt "{match%a%a%a%a%a%a%a%a%s}"
     (field "smac" Mac.pp) t.src_mac
     (field "dmac" Mac.pp) t.dst_mac
     (field "vlan" Format.pp_print_int) t.vlan
     (field "sip" Ipv4.pp) t.src_ip
     (field "dip" Ipv4.pp) t.dst_ip
+    (field "proto" Format.pp_print_int) t.protocol
+    (field "sport" Format.pp_print_int) t.src_port
+    (field "dport" Format.pp_print_int) t.dst_port
     (if t.arp_only then " arp" else "")

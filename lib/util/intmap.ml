@@ -121,3 +121,10 @@ let remove t k =
   let mask = Array.length t.keys - 1 in
   if remove_from t.keys t.vals mask k (slot_of k mask) then
     t.live <- t.live - 1
+
+let iter f t =
+  Array.iteri
+    (fun i k ->
+      if k <> empty_key && k <> tombstone_key then
+        match Array.unsafe_get t.vals i with Some v -> f k v | None -> ())
+    t.keys

@@ -26,3 +26,8 @@ val replace : 'a t -> int -> 'a -> unit
 
 val remove : 'a t -> int -> unit
 (** No-op if the key is absent. *)
+
+val iter : (int -> 'a -> unit) -> 'a t -> unit
+(** Visits every binding in slot order, which follows the hash: callers
+    must not let that order reach a result.  [f] must not insert or
+    remove keys. *)

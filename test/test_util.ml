@@ -405,7 +405,15 @@ let test_intmap_matches_hashtbl () =
     check (Alcotest.option Alcotest.int)
       (Printf.sprintf "key %d agrees" k)
       (Hashtbl.find_opt h k) (Intmap.find m k)
-  done
+  done;
+  let sorted l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l in
+  let visited = ref [] in
+  Intmap.iter (fun k v -> visited := (k, v) :: !visited) m;
+  check
+    Alcotest.(list (pair int int))
+    "iter visits each binding once"
+    (sorted (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []))
+    (sorted !visited)
 
 let test_table_cells () =
   check Alcotest.string "float" "1.50" (Table.cell_float 1.5);
